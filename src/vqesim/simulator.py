@@ -1,16 +1,16 @@
 """Execution engines: exact statevector and density matrix with idle noise.
 
-The density-matrix engine applies gates as ideal unitaries in ASAP schedule
-order; whenever a qubit has sat idle between gates (or while waiting for
-the global circuit end), a single-qubit amplitude-damping plus pure
-dephasing channel is applied for the accumulated idle duration.
+Both engines share the kernels ``_apply_1q``/``_apply_2q``: an n-qubit rho
+runs as the 2n-qubit vector rho.reshape(-1), row qubit q as vector qubit
+q + n and column qubit q as q. Gates follow ``schedule_circuit``; each idle
+interval applies one superoperator: amplitude damping, then pure dephasing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -32,7 +32,12 @@ TABLE1_DURATIONS_NS = {
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Relaxation/dephasing times (microseconds) and gate durations (ns)."""
+    """Relaxation/dephasing times (microseconds) and gate durations (ns).
+
+    ``t2_us`` is the pure-dephasing time: with amplitude damping, coherences
+    decay at 1/T2' = 1/T2 + 1/(2*T1) (``t2_prime_us``). The T2 <= 2*T1 check
+    is the physical bound on the total T2, applied to ``t2_us``.
+    """
 
     t1_us: float = TABLE1_T1_US
     t2_us: float = TABLE1_T2_US
@@ -221,10 +226,10 @@ def _probabilities(state: Union[Statevector, DensityMatrix],
             psi = apply_gate_statevector(psi, g)
         p = np.abs(psi) ** 2
     else:
-        rho = state.rho
+        v = state.rho.reshape(-1)
         for g in rotation:
-            rho = _conjugate_1q(rho, gate_matrix(g), g.qubits[0])
-        p = np.real(np.diag(rho)).copy()
+            v = _apply_gate_density(v, g, state.n_qubits)
+        p = np.real(np.diag(v.reshape(state.rho.shape))).copy()
     p = np.clip(p, 0.0, None)
     return p / p.sum()
 
@@ -318,53 +323,22 @@ class Schedule:
 
 def schedule_circuit(c: ParameterizedCircuit, nm: NoiseModel) -> Schedule:
     """Each gate starts at the max end-time of its qubits' previous gates."""
-    ready = np.zeros(c.n_qubits)
-    touched = [False] * c.n_qubits
+    ready: dict[int, float] = {}   # end of the last gate on each used qubit
     spans = []
     idles: list[list[tuple[float, float]]] = [[] for _ in range(c.n_qubits)]
     for g in c.gates:
-        dur = nm.duration(g.kind)
-        start = max(ready[q] for q in g.qubits)
+        dur = float(nm.duration(g.kind))
+        start = max(ready.get(q, 0.0) for q in g.qubits)
         for q in g.qubits:
-            if touched[q] and start > ready[q]:
-                idles[q].append((float(ready[q]), float(start)))
-            touched[q] = True
+            if q in ready and ready[q] < start:
+                idles[q].append((ready[q], start))
             ready[q] = start + dur
-        spans.append((float(start), float(dur)))
-    end = float(ready.max()) if len(c.gates) else 0.0
-    for q in range(c.n_qubits):
-        if touched[q] and end > ready[q]:
-            idles[q].append((float(ready[q]), end))
+        spans.append((start, dur))
+    end = max(ready.values(), default=0.0)
+    for q, t in ready.items():
+        if t < end:
+            idles[q].append((t, end))
     return Schedule(tuple(spans), tuple(tuple(iv) for iv in idles), end)
-
-
-def _conjugate_1q(rho: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    t = rho.reshape([2] * (2 * n))
-    ar, ac = n - 1 - q, 2 * n - 1 - q
-    t = np.moveaxis(t, (ar, ac), (0, 1))
-    shape = t.shape
-    flat = t.reshape(2, 2, -1)
-    flat = np.einsum("ab,bcx,dc->adx", u, flat, u.conj())
-    t = flat.reshape(shape)
-    t = np.moveaxis(t, (0, 1), (ar, ac))
-    return t.reshape(dim, dim)
-
-
-def _conjugate_2q(rho: np.ndarray, u: np.ndarray, q0: int, q1: int) -> np.ndarray:
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    t = rho.reshape([2] * (2 * n))
-    axes = (n - 1 - q0, n - 1 - q1, 2 * n - 1 - q0, 2 * n - 1 - q1)
-    t = np.moveaxis(t, axes, (0, 1, 2, 3))
-    shape = t.shape
-    flat = t.reshape(4, 4, -1)
-    u4 = u.reshape(4, 4)
-    flat = np.einsum("ab,bcx,dc->adx", u4, flat, u4.conj())
-    t = flat.reshape(shape)
-    t = np.moveaxis(t, (0, 1, 2, 3), axes)
-    return t.reshape(dim, dim)
 
 
 def amplitude_damping_kraus(t_ns: float, t1_us: float) -> list[np.ndarray]:
@@ -379,39 +353,47 @@ def dephasing_kraus(t_ns: float, t2_us: float) -> list[np.ndarray]:
             np.array([[0, 0], [0, np.sqrt(p)]], dtype=complex)]
 
 
+def _idle_kraus(t_ns: float, nm: NoiseModel) -> list[np.ndarray]:
+    """Kraus operators of amplitude damping followed by pure dephasing."""
+    return [d @ a for d in dephasing_kraus(t_ns, nm.t2_us)
+            for a in amplitude_damping_kraus(t_ns, nm.t1_us)]
+
+
+def _superoperator(kraus: list[np.ndarray]) -> np.ndarray:
+    """sum_k K (x) K*: the channel on vector qubits (q + n, q) of rho."""
+    return sum(np.kron(e, e.conj()) for e in kraus)
+
+
+def _apply_gate_density(v: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    u = gate_matrix(g)
+    if g.kind == "CNOT":
+        c, t = g.qubits
+        return _apply_2q(_apply_2q(v, u, c + n, t + n), u.conj(), c, t)
+    q = g.qubits[0]
+    return _apply_2q(v, _superoperator([u]), q + n, q)
+
+
 def _apply_kraus_1q(rho: np.ndarray, kraus: list[np.ndarray],
                     q: int) -> np.ndarray:
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    t = rho.reshape([2] * (2 * n))
-    ar, ac = n - 1 - q, 2 * n - 1 - q
-    t = np.moveaxis(t, (ar, ac), (0, 1))
-    shape = t.shape
-    flat = t.reshape(2, 2, -1)
-    out = np.zeros_like(flat)
-    for e in kraus:
-        out += np.einsum("ab,bcx,dc->adx", e, flat, e.conj())
-    t = out.reshape(shape)
-    t = np.moveaxis(t, (0, 1), (ar, ac))
-    return t.reshape(dim, dim)
+    n = rho.shape[0].bit_length() - 1
+    v = _apply_2q(rho.reshape(-1), _superoperator(kraus), q + n, q)
+    return v.reshape(rho.shape)
 
 
 def apply_idle_channel(rho: np.ndarray, q: int, t_ns: float,
                        nm: NoiseModel) -> np.ndarray:
     if t_ns <= 0:
         return rho
-    rho = _apply_kraus_1q(rho, amplitude_damping_kraus(t_ns, nm.t1_us), q)
-    rho = _apply_kraus_1q(rho, dephasing_kraus(t_ns, nm.t2_us), q)
-    return rho
+    return _apply_kraus_1q(rho, _idle_kraus(t_ns, nm), q)
 
 
 def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
                        cap: int = 12) -> DensityMatrix:
     """Noisy execution: ideal gates with decoherence applied to idle qubits.
 
-    Idle noise starts accruing for a qubit only once its first gate has
-    begun; every qubit then idles up to the global circuit end so that
-    measurement is simultaneous.
+    Gates run in the order of ``schedule_circuit``; each of its idle
+    intervals applies one idle channel, so that every qubit touched by a
+    gate idles up to the global circuit end and measurement is simultaneous.
     """
     if not c.is_bound:
         raise SimulationError("circuit has unbound parameters")
@@ -420,26 +402,19 @@ def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
     if not nm.enabled:
         return DensityMatrix.from_statevector(run_statevector(c, cap=24))
 
-    dim = 2 ** c.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    ready = np.zeros(c.n_qubits)
-    touched = [False] * c.n_qubits
-    for g in c.gates:
-        dur = nm.duration(g.kind)
-        start = max(ready[q] for q in g.qubits)
+    n = c.n_qubits
+    sched = schedule_circuit(c, nm)
+    # an interval on qubit q ends at the start of q's next gate or at the end
+    waits = {(q, b): b - a for q, intervals in enumerate(sched.idle_intervals)
+             for a, b in intervals}
+    superops = {t: _superoperator(_idle_kraus(t, nm))
+                for t in set(waits.values())}
+    v = Statevector.zero_state(2 * n).amplitudes
+    for g, (start, _) in zip(c.gates, sched.gate_spans):
         for q in g.qubits:
-            if touched[q]:
-                rho = apply_idle_channel(rho, q, start - ready[q], nm)
-            touched[q] = True
-            ready[q] = start + dur
-        u = gate_matrix(g)
-        if g.kind == "CNOT":
-            rho = _conjugate_2q(rho, u, g.qubits[0], g.qubits[1])
-        else:
-            rho = _conjugate_1q(rho, u, g.qubits[0])
-    end = float(ready.max()) if len(c.gates) else 0.0
-    for q in range(c.n_qubits):
-        if touched[q]:
-            rho = apply_idle_channel(rho, q, end - ready[q], nm)
-    return DensityMatrix(c.n_qubits, rho)
+            if (q, start) in waits:
+                v = _apply_2q(v, superops[waits.pop((q, start))], q + n, q)
+        v = _apply_gate_density(v, g, n)
+    for (q, _), t in waits.items():
+        v = _apply_2q(v, superops[t], q + n, q)
+    return DensityMatrix(n, v.reshape(2 ** n, 2 ** n))

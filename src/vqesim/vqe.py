@@ -110,27 +110,25 @@ def run_optimizer(objective: Callable[[np.ndarray], float],
             best["x"] = np.array(x, dtype=float)
         return f
 
-    converged = False
     try:
         if x0.size == 0:
             wrapped(x0)  # nothing to optimize; record the single energy
-            converged = True
         elif method == "cobyla":
-            res = scipy.optimize.minimize(
+            # COBYLA needs at least n + 2 evaluations; wrapped enforces the
+            # budget, so asking for fewer would only draw a scipy warning
+            scipy.optimize.minimize(
                 wrapped, x0, method="COBYLA",
                 options={"rhobeg": rhobeg, "tol": rhoend,
-                         "maxiter": max_evals})
-            converged = bool(res.success)
+                         "maxiter": max(max_evals, x0.size + 2)})
         elif method == "nelder_mead":
-            res = scipy.optimize.minimize(
+            scipy.optimize.minimize(
                 wrapped, x0, method="Nelder-Mead",
                 options={"maxfev": max_evals, "xatol": rhoend,
                          "fatol": rhoend})
-            converged = bool(res.success)
         else:
             raise VqeError(f"unknown optimizer {method!r}")
     except _BudgetExhausted:
-        converged = False
+        pass
     return best["x"], best["f"], len(trace), trace
 
 

@@ -66,19 +66,72 @@ def embed_cnot(control, target, n):
     return m
 
 
+def gate_unitary(g, n):
+    """Full 2^n unitary of one bound gate."""
+    if g.kind == "CNOT":
+        return embed_cnot(g.qubits[0], g.qubits[1], n)
+    if g.kind in GATES_1Q:
+        return embed_1q(GATES_1Q[g.kind], g.qubits[0], n)
+    return embed_1q(rotation(g.kind, g.angle), g.qubits[0], n)
+
+
 def circuit_unitary(circuit):
     """Full unitary of a bound circuit by multiplying embedded gate matrices."""
     n = circuit.n_qubits
     u = np.eye(2 ** n, dtype=complex)
     for g in circuit.gates:
-        if g.kind == "CNOT":
-            m = embed_cnot(g.qubits[0], g.qubits[1], n)
-        elif g.kind in GATES_1Q:
-            m = embed_1q(GATES_1Q[g.kind], g.qubits[0], n)
-        else:
-            m = embed_1q(rotation(g.kind, g.angle), g.qubits[0], n)
-        u = m @ u
+        u = gate_unitary(g, n) @ u
     return u
+
+
+def idle_kraus_full(q, n, t_ns, t1_us, t2_us):
+    """Full 2^n Kraus operators of idling qubit q for t_ns nanoseconds.
+
+    Amplitude damping with gamma = 1 - exp(-t/T1), then pure dephasing in
+    its phase-flip form: (1 + e)/2 of identity and (1 - e)/2 of Z with
+    e = exp(-t/T2), which multiplies coherences by e.
+    """
+    t_us = t_ns * 1e-3
+    gamma = 1.0 - np.exp(-t_us / t1_us)
+    damping = [np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
+               np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)]
+    e = np.exp(-t_us / t2_us)
+    phase = [np.sqrt((1 + e) / 2) * PAULI["I"],
+             np.sqrt((1 - e) / 2) * PAULI["Z"]]
+    return [embed_1q(p @ d, q, n) for p in phase for d in damping]
+
+
+def apply_kraus_full(rho, kraus):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def noisy_density_matrix(circuit, t1_us, t2_us, durations_ns):
+    """rho of a bound circuit run from |0..0> with idle noise, densely.
+
+    Each gate starts as soon as all of its qubits are free. A qubit idles
+    from the end of one gate to the start of its next, and from the end of
+    its last gate to the end of the whole circuit; a qubit that no gate
+    touches never idles.
+    """
+    n = circuit.n_qubits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    free_at = {}
+    for g in circuit.gates:
+        start = max(free_at.get(q, 0.0) for q in g.qubits)
+        for q in g.qubits:
+            if q in free_at and start > free_at[q]:
+                rho = apply_kraus_full(rho, idle_kraus_full(
+                    q, n, start - free_at[q], t1_us, t2_us))
+            free_at[q] = start + durations_ns[g.kind]
+        u = gate_unitary(g, n)
+        rho = u @ rho @ u.conj().T
+    end = max(free_at.values(), default=0.0)
+    for q, t in free_at.items():
+        if end > t:
+            rho = apply_kraus_full(rho, idle_kraus_full(q, n, end - t,
+                                                        t1_us, t2_us))
+    return rho
 
 
 def _popcount_below(z, i):

@@ -12,7 +12,8 @@ from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               run_density_matrix, run_statevector,
                               sample_bitstrings, schedule_circuit)
 
-from oracles import circuit_unitary, pauli_sum_matrix
+from oracles import (apply_kraus_full, circuit_unitary, idle_kraus_full,
+                     noisy_density_matrix, pauli_sum_matrix)
 
 
 def bell_state():
@@ -22,8 +23,9 @@ def bell_state():
 
 def random_circuit(n_qubits, n_gates, rng):
     gates = []
+    kinds = ["H", "X", "RY", "RX", "RZ"] + (["CNOT"] if n_qubits > 1 else [])
     for _ in range(n_gates):
-        kind = rng.choice(["H", "X", "RY", "RX", "RZ", "CNOT"])
+        kind = rng.choice(kinds)
         if kind == "CNOT":
             q0, q1 = rng.choice(n_qubits, size=2, replace=False)
             gates.append(Gate("CNOT", (int(q0), int(q1))))
@@ -339,6 +341,19 @@ def test_idle_off_diagonal_t2_prime_decay():
     assert abs(out[0, 1].real - expected) < 1e-12
 
 
+def test_idle_channel_matches_dense_kraus_oracle():
+    rng = np.random.default_rng(47)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    nm = NoiseModel(t1_us=0.08, t2_us=0.03)
+    for q in range(3):
+        kraus = idle_kraus_full(q, 3, 70.0, 0.08, 0.03)
+        expected = apply_kraus_full(rho, kraus)
+        got = apply_idle_channel(rho, q, 70.0, nm)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 def test_dephasing_preserves_diagonal():
     rng = np.random.default_rng(42)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -407,3 +422,19 @@ def test_density_matrix_tail_idle_decay():
     pops = np.real(np.diag(rho))
     p_q1 = pops[2] + pops[3]
     assert abs(p_q1 - np.exp(-240.0 / 100.0)) < 1e-12
+
+
+@pytest.mark.parametrize("nm", [
+    NoiseModel(), NoiseModel(t1_us=0.1, t2_us=0.1),
+    NoiseModel(t1_us=0.08, t2_us=0.03), NoiseModel(enabled=False),
+], ids=["table1", "strong", "t2_below_t1", "disabled"])
+def test_density_matrix_matches_dense_kraus_oracle(nm):
+    # infinite T1 and T2 make every oracle idle channel the identity
+    t1_us, t2_us = (nm.t1_us, nm.t2_us) if nm.enabled else (np.inf, np.inf)
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            c = random_circuit(n, 16, rng)
+            expected = noisy_density_matrix(c, t1_us, t2_us, nm.durations_ns)
+            np.testing.assert_allclose(run_density_matrix(c, nm).rho,
+                                       expected, rtol=0, atol=1e-12)

@@ -30,6 +30,7 @@ def test_quadratic_four_dims():
     assert fbest < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
 def test_budget_one_returns_initial_value():
     def f(x):
         return float(np.sum(x ** 2)) + 5.0
