@@ -14,12 +14,14 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .exact import ground_state, one_rdm
@@ -120,7 +122,21 @@ def _campaign_points(args):
         yield "single", 0.0, args.fcidump[0], args.sidecar, args.shots, None
 
 
+# least valid value of each count flag of a campaign
+_LEAST = {"shots": 0, "trials": 1, "max_iter": 1, "depth": 1, "jobs": 1}
+
+
+def _check_counts(args) -> None:
+    for name, least in _LEAST.items():
+        if getattr(args, name) < least:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be >= {least}")
+    if any(s < 0 for s in getattr(args, "shots_list", None) or []):
+        raise ValidationError("--shots-list values must be >= 0")
+
+
 def _run_campaign(args) -> int:
+    _check_counts(args)
     out = _out_dir(args.out_dir)
     rows = []
     failures = []
@@ -175,6 +191,8 @@ def _run_campaign(args) -> int:
         "config_hash": cfg_hash,
         "version": __version__,
         "seed": args.seed,
+        "stack": {"python": platform.python_version(),
+                  "numpy": np.__version__, "scipy": scipy.__version__},
         "failures": failures,
         "metadata": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                 time.gmtime())},

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .ansatz import Gate, ParameterizedCircuit
-from .pauli import PauliSum, parity
+from .pauli import PauliSum, _string_action, parity
 
 
 class SimulationError(ValueError):
@@ -208,30 +208,33 @@ def expectation_exact(state: Union[Statevector, DensityMatrix],
     return float(np.dot(m.data, state.rho[m.indices, rows]).real)
 
 
-def _measurement_basis_gates(letters: str) -> list[Gate]:
-    gates = []
-    for q, l in enumerate(letters):
-        if l == "X":
-            gates.append(Gate("H", (q,)))
-        elif l == "Y":
-            gates.append(Gate("RX", (q,), angle=np.pi / 2))
-    return gates
+def _pauli_expectations(state: Union[Statevector, DensityMatrix],
+                        letters: list[str]) -> np.ndarray:
+    """Exact <P> of each Pauli string, from its flip mask f, sign mask s and
+    prefactor (``pauli._string_action``):
 
+    <psi|P|psi> = pref * sum_z conj(psi[z ^ f]) (-1)^popcount(z & s) psi[z]
+    Tr(rho P)   = pref * sum_z rho[z, z ^ f] (-1)^popcount(z & s)
 
-def _probabilities(state: Union[Statevector, DensityMatrix],
-                   rotation: list[Gate]) -> np.ndarray:
-    if isinstance(state, Statevector):
-        psi = state.amplitudes
-        for g in rotation:
-            psi = apply_gate_statevector(psi, g)
-        p = np.abs(psi) ** 2
-    else:
-        v = state.rho.reshape(-1)
-        for g in rotation:
-            v = _apply_gate_density(v, g, state.n_qubits)
-        p = np.real(np.diag(v.reshape(state.rho.shape))).copy()
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    Strings go in blocks of about 2^14 (string, z) entries: temporaries of
+    that size measured fastest, and memory stays bounded at any n.
+    """
+    z = np.arange(2 ** state.n_qubits)
+    flips, signs, prefs = (np.array(a) for a in
+                           zip(*map(_string_action, letters)))
+    out = np.empty(len(letters))
+    step = max(1, 2 ** 14 // z.size)
+    for lo in range(0, len(letters), step):
+        block = slice(lo, lo + step)
+        cols = z ^ flips[block, None]
+        if isinstance(state, Statevector):
+            psi = state.amplitudes
+            pairs = psi[cols].conj() * psi
+        else:
+            pairs = state.rho[z, cols]
+        sign = 1.0 - 2.0 * parity(z & signs[block, None])
+        out[block] = (prefs[block] * np.einsum("kz,kz->k", sign, pairs)).real
+    return out
 
 
 def sample_bitstrings(state: Union[Statevector, DensityMatrix],
@@ -239,74 +242,44 @@ def sample_bitstrings(state: Union[Statevector, DensityMatrix],
     """i.i.d. Born-rule samples; qubit 0 is the leftmost character."""
     if n_shots <= 0:
         raise SimulationError("n_shots must be positive")
-    p = _probabilities(state, [])
+    if isinstance(state, Statevector):
+        p = np.abs(state.amplitudes) ** 2
+    else:
+        p = np.real(np.diag(state.rho))
+    p = np.clip(p, 0.0, None)
     rng = np.random.default_rng(rng_seed)
-    draws = rng.choice(p.size, size=n_shots, p=p)
+    draws = rng.choice(p.size, size=n_shots, p=p / p.sum())
     n = state.n_qubits
     return [format(z, f"0{n}b")[::-1] for z in draws]
 
 
-def _qubitwise_groups(h: PauliSum) -> list[tuple[str, list[tuple[str, complex]]]]:
-    """Greedy qubit-wise commuting grouping; returns (basis, members) pairs."""
-    groups: list[tuple[list[str], list[tuple[str, complex]]]] = []
-    for letters, coeff in h.sorted_items():
-        placed = False
-        for basis, members in groups:
-            if all(l == "I" or b == "I" or l == b
-                   for l, b in zip(letters, basis)):
-                for q, l in enumerate(letters):
-                    if l != "I":
-                        basis[q] = l
-                members.append((letters, coeff))
-                placed = True
-                break
-        if not placed:
-            groups.append((list(letters), [(letters, coeff)]))
-    return [("".join(basis), members) for basis, members in groups]
-
-
 def expectation_sampled(state: Union[Statevector, DensityMatrix],
-                        h: PauliSum, n_shots: int, rng_seed: int,
-                        grouping: str = "none") -> float:
+                        h: PauliSum, n_shots: int, rng_seed: int) -> float:
     """Shot-based estimate of <H>; n_shots = 0 falls back to the exact value.
 
-    With grouping="none" every Pauli term is measured independently with
-    n_shots samples. grouping="qubitwise" measures greedily formed
-    qubit-wise commuting groups instead.
+    Every non-identity term P_k is measured on its own with n_shots shots,
+    each a +-1 outcome of mean <P_k>. The number of -1 outcomes is then
+    Binomial(n_shots, (1 - <P_k>) / 2), so it is drawn directly from the
+    exact <P_k> of the statevector or density matrix.
     """
     if n_shots < 0:
         raise SimulationError("n_shots must be >= 0")
+    if state.n_qubits != h.n_qubits:
+        raise SimulationError("state / operator qubit-count mismatch")
     if n_shots == 0:
         return expectation_exact(state, h)
     if not h.is_hermitian():
         raise SimulationError("expectation requires a Hermitian PauliSum")
-    rng = np.random.default_rng(rng_seed)
-
-    if grouping == "none":
-        groups = [(letters, [(letters, coeff)])
-                  for letters, coeff in h.sorted_items()]
-    elif grouping == "qubitwise":
-        groups = _qubitwise_groups(h)
-    else:
-        raise SimulationError(f"unknown grouping {grouping!r}")
-
-    total = 0.0
-    for basis, members in groups:
-        identity = sum(c.real for l, c in members if set(l) <= {"I"})
-        total += identity
-        members = [(l, c) for l, c in members if set(l) != {"I"}]
-        if not members:
-            continue
-        p = _probabilities(state, _measurement_basis_gates(basis))
-        draws = rng.choice(p.size, size=n_shots, p=p)
-        for letters, coeff in members:
-            mask = 0
-            for q, l in enumerate(letters):
-                if l != "I":
-                    mask |= 1 << q
-            parities = parity(draws & mask)
-            total += coeff.real * float(np.mean(1.0 - 2.0 * parities))
-    return total
+    terms = dict(h.sorted_items())
+    total = terms.pop("I" * h.n_qubits, 0.0).real
+    if terms:
+        # rounding can put an eigenstate's p a little outside [0, 1]
+        p = np.clip((1.0 - _pauli_expectations(state, list(terms))) / 2.0,
+                    0.0, 1.0)
+        minus = np.random.default_rng(rng_seed).binomial(n_shots, p)
+        coeffs = np.real(list(terms.values()))
+        total += float(np.dot(coeffs, 1.0 - 2.0 * minus / n_shots))
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

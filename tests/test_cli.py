@@ -86,7 +86,27 @@ def test_vqe_single_point_campaign(tmp_path, h2_path):
     assert campaign["seed"] == 7
     assert campaign["failures"] == []
     assert "config_hash" in campaign and "version" in campaign
+    assert campaign["stack"]["numpy"] == np.__version__
+    assert set(campaign["stack"]) == {"python", "numpy", "scipy"}
     assert "timestamp" in campaign["metadata"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("vqe", "--shots", "-5"),
+    ("sweep-shots", "--shots-list", ["64", "-1"]),
+    ("vqe", "--trials", "0"),
+    ("vqe", "--max-iter", "0"),
+    ("vqe", "--depth", "0"),
+    ("vqe", "--jobs", "0"),
+    ("vqe", "--jobs", "-3"),
+])
+def test_invalid_count_is_validation_error(tmp_path, h2_path, capsys,
+                                           command, flag, value):
+    argv = vqe_args(h2_path, tmp_path, **{flag: value})
+    argv[0] = command
+    assert main(argv) == 1
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_vqe_qucc_mp2_initialization(tmp_path, h2_path):

@@ -11,9 +11,10 @@ from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               expectation_exact, expectation_sampled,
                               run_density_matrix, run_statevector,
                               sample_bitstrings, schedule_circuit)
+from vqesim.simulator import _pauli_expectations
 
 from oracles import (apply_kraus_full, circuit_unitary, idle_kraus_full,
-                     noisy_density_matrix, pauli_sum_matrix)
+                     noisy_density_matrix, pauli_matrix, pauli_sum_matrix)
 
 
 def bell_state():
@@ -169,6 +170,16 @@ def test_sampled_eigenstate_is_exact_for_any_shots():
         assert expectation_sampled(s, h, shots, rng_seed=3) == pytest.approx(0.5)
 
 
+def test_sampled_eigenstate_rounded_past_its_eigenvalue():
+    # sqrt(0.5)^2 rounds up, so <X> comes out as +-(1 + 2e-16)
+    a = np.sqrt(0.5)
+    h = PauliSum(1, {"X": 0.5})
+    for amps, expected in (([a, a], 0.5), ([a, -a], -0.5)):
+        s = Statevector(1, amps)
+        for state in (s, DensityMatrix.from_statevector(s)):
+            assert expectation_sampled(state, h, 1024, rng_seed=3) == expected
+
+
 def test_sampled_is_deterministic_per_seed():
     s = bell_state()
     h = PauliSum(2, {"XI": 1.0})
@@ -196,15 +207,49 @@ def test_sampled_is_unbiased():
     assert abs(float(np.mean(vals))) < 3 * sigma
 
 
-def test_sampled_qubitwise_grouping_agrees():
-    s = bell_state()
-    h = PauliSum(2, {"ZZ": 0.5, "ZI": 0.25, "XX": -0.3, "II": 1.0})
-    exact = expectation_exact(s, h)
-    vals = [expectation_sampled(s, h, 2048, rng_seed=k, grouping="qubitwise")
-            for k in range(50)]
-    assert abs(float(np.mean(vals)) - exact) < 0.02
-    with pytest.raises(SimulationError):
-        expectation_sampled(s, h, 16, rng_seed=0, grouping="bogus")
+def test_sampled_rejects_qubit_count_mismatch():
+    h = PauliSum(2, {"XZ": 0.5, "ZI": 0.25})
+    for n in (3, 1):
+        with pytest.raises(SimulationError, match="qubit-count mismatch"):
+            expectation_sampled(Statevector.zero_state(n), h, 64, rng_seed=0)
+    rho = DensityMatrix.from_statevector(Statevector.zero_state(3))
+    with pytest.raises(SimulationError, match="qubit-count mismatch"):
+        expectation_sampled(rho, h, 64, rng_seed=0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_term_expectations_match_dense_oracle(n):
+    rng = np.random.default_rng(50 + n)
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    psi /= np.linalg.norm(psi)
+    rho = run_density_matrix(random_circuit(n, 20, rng), NoiseModel()).rho
+    letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(40)]
+    letters += ["Y" + "I" * (n - 1), "XY" + "Z" * (n - 2), "YYY" + "X" * (n - 3)]
+    mats = [pauli_matrix(l) for l in letters]
+    got = _pauli_expectations(Statevector(n, psi), letters)
+    expected = [np.real(psi.conj() @ m @ psi) for m in mats]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    got = _pauli_expectations(DensityMatrix(n, rho), letters)
+    expected = [np.real(np.trace(rho @ m)) for m in mats]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_sampled_noisy_rho_mean_and_spread():
+    rng = np.random.default_rng(52)
+    c = random_circuit(3, 20, rng)
+    rho = run_density_matrix(c, NoiseModel(t1_us=0.5, t2_us=0.5))
+    h = PauliSum(3, {"III": 0.2, "ZZI": 0.7, "XYZ": -0.4, "IYX": 0.3,
+                     "YII": 0.25, "XXX": -0.6})
+    exact = expectation_exact(rho, h)
+    dense = np.real([np.trace(rho.rho @ pauli_matrix(l))
+                     for l in sorted(h.terms) if l != "III"])
+    coeffs = np.real([h.terms[l] for l in sorted(h.terms) if l != "III"])
+    shots, n_seeds = 256, 400
+    sigma = np.sqrt(np.sum(coeffs ** 2 * (1.0 - dense ** 2)) / shots)
+    vals = [expectation_sampled(rho, h, shots, rng_seed=k)
+            for k in range(n_seeds)]
+    assert abs(float(np.mean(vals)) - exact) < 5 * sigma / np.sqrt(n_seeds)
+    assert abs(float(np.std(vals)) / sigma - 1.0) < 0.15
 
 
 def test_sample_bitstrings_basics():
