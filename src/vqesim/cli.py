@@ -87,12 +87,18 @@ def cmd_exact(args) -> int:
 
 
 def _noise_from_args(args, t1_us=None) -> NoiseModel | None:
-    if t1_us is not None:
-        return NoiseModel(t1_us=t1_us, t2_us=t1_us)
-    if args.noise == "table1":
-        return NoiseModel()
-    if args.noise:
-        return NoiseModel.from_json(Path(args.noise).read_text())
+    """The point's NoiseModel; a value it rejects or an unreadable --noise
+    file is a ValidationError."""
+    try:
+        if t1_us is not None:
+            return NoiseModel(t1_us=t1_us, t2_us=t1_us)
+        if args.noise == "table1":
+            return NoiseModel()
+        if args.noise:
+            return NoiseModel.from_json(Path(args.noise).read_text())
+    except (OSError, ValueError, TypeError) as exc:
+        source = "--t1-list" if t1_us is not None else "--noise"
+        raise ValidationError(f"{source}: {exc}") from exc
     return None
 
 
@@ -137,16 +143,21 @@ def _check_counts(args) -> None:
 
 def _run_campaign(args) -> int:
     _check_counts(args)
+    # every point's noise model is built first, so bad noise input writes
+    # nothing
+    points = [(label, value, fcidump, sidecar, n_shots,
+               _noise_from_args(args, t1_us=t1))
+              for label, value, fcidump, sidecar, n_shots, t1
+              in _campaign_points(args)]
     out = _out_dir(args.out_dir)
     rows = []
     failures = []
     campaign_cfg = {k: v for k, v in sorted(vars(args).items())
                     if k != "func" and v is not None}
-    for label, value, fcidump, sidecar, n_shots, t1 in _campaign_points(args):
+    for label, value, fcidump, sidecar, n_shots, noise in points:
         try:
             problem = _problem_from_args(args, fcidump=fcidump, sidecar=sidecar)
             circuit, gen = build_ansatz(args.ansatz, problem, depth=args.depth)
-            noise = _noise_from_args(args, t1_us=t1)
             initial = args.initial
             if initial == "mp2":
                 if gen is None:

@@ -67,6 +67,15 @@ def _string_action(letters: str) -> tuple[int, int, complex]:
     return flip, sign, 1j ** n_y
 
 
+def string_actions(letters: Iterable[str]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flip masks, sign masks and prefactors (``_string_action``) as arrays."""
+    actions = [_string_action(l) for l in letters]
+    return (np.array([a[0] for a in actions], dtype=int),
+            np.array([a[1] for a in actions], dtype=int),
+            np.array([a[2] for a in actions], dtype=complex))
+
+
 def parity(x: np.ndarray) -> np.ndarray:
     """Elementwise popcount(x) mod 2 of a non-negative integer array."""
     x = x.copy()
@@ -137,6 +146,7 @@ class PauliSum:
         self.n_qubits = n_qubits
         self._terms: Dict[str, complex] = {}
         self._sparse = None
+        self._table = None
         self._max_imag = None
         if terms:
             for letters, coeff in terms.items():
@@ -225,6 +235,21 @@ class PauliSum:
             for sign, c in groups[flip]:
                 w += c * (1.0 - 2.0 * parity(z & sign))
             yield flip, w
+
+    def string_table(self) -> tuple[np.ndarray, ...]:
+        """(flips, signs, prefs, coeffs) of the terms in sorted order.
+
+        The first three are ``string_actions`` of the letter strings; the
+        arrays are built once, cached and read-only.
+        """
+        if self._table is None:
+            items = self.sorted_items()
+            table = string_actions(l for l, _ in items) + (
+                np.array([c for _, c in items], dtype=complex),)
+            for a in table:
+                a.flags.writeable = False
+            self._table = table
+        return self._table
 
     def sparse_matrix(self) -> scipy.sparse.csr_array:
         """The sum as a 2^n x 2^n CSR matrix, built once and cached.

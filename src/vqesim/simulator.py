@@ -1,21 +1,31 @@
 """Execution engines: exact statevector and density matrix with idle noise.
 
-Both engines share the kernels ``_apply_1q``/``_apply_2q``: an n-qubit rho
-runs as the 2n-qubit vector rho.reshape(-1), row qubit q as vector qubit
-q + n and column qubit q as q. Gates follow ``schedule_circuit``; each idle
-interval applies one superoperator: amplitude damping, then pure dephasing.
+An n-qubit rho runs as the 2n-qubit vector rho.reshape(-1), row qubit q as
+vector qubit q + n and column qubit q as q. In both engines a CNOT is a
+gather through an index permutation (``_cnot_index``); on rho one gather
+acts on rows and columns. Every other operator goes through the kernels
+``_apply_1q``/``_apply_2q``: a one-qubit gate on psi, and on rho its 4x4
+superoperator, as is each idle interval's channel (amplitude damping, then
+pure dephasing). Gates follow ``schedule_circuit``.
+
+The noisy engine compiles all that does not depend on theta once per gate
+layout and NoiseModel (``_noisy_program``): the schedule order, the idle
+and fixed-gate superoperators and the CNOT index keys. Only rotation
+superoperators are built per call. Index arrays are cached for vectors of
+at most ``_INDEX_CACHE_MAX_LEN`` entries, in at most ``_INDEX_CACHE_BYTES``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .ansatz import Gate, ParameterizedCircuit
-from .pauli import PauliSum, _string_action, parity
+from .ansatz import ROTATIONS, Gate, ParameterizedCircuit
+from .pauli import PauliSum, parity
 
 
 class SimulationError(ValueError):
@@ -65,6 +75,8 @@ class NoiseModel:
     @classmethod
     def from_json(cls, text: str, enabled: bool = True) -> "NoiseModel":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise SimulationError("noise JSON must be an object")
         durations = dict(TABLE1_DURATIONS_NS)
         durations.update(data.get("durations_ns", {}))
         return cls(t1_us=data.get("t1_us", TABLE1_T1_US),
@@ -116,6 +128,7 @@ class DensityMatrix:
 # gate matrices and application
 
 def gate_matrix(g: Gate) -> np.ndarray:
+    """2x2 matrix of a bound one-qubit gate."""
     if not g.is_bound:
         raise SimulationError(f"unbound parameter on gate {g.kind}")
     k = g.kind
@@ -127,9 +140,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return np.array([[0, -1j], [1j, 0]], dtype=complex)
     if k == "Z":
         return np.array([[1, 0], [0, -1]], dtype=complex)
-    if k == "CNOT":
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0],
-                         [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    if k not in ROTATIONS:
+        raise SimulationError(f"no 2x2 matrix for gate kind {k!r}")
     t = g.angle / 2.0
     if k == "RX":
         return np.array([[np.cos(t), -1j * np.sin(t)],
@@ -137,10 +149,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
     if k == "RY":
         return np.array([[np.cos(t), -np.sin(t)],
                          [np.sin(t), np.cos(t)]], dtype=complex)
-    if k == "RZ":
-        return np.array([[np.exp(-1j * t), 0],
-                         [0, np.exp(1j * t)]], dtype=complex)
-    raise SimulationError(f"unknown gate kind {k!r}")
+    return np.array([[np.exp(-1j * t), 0],
+                     [0, np.exp(1j * t)]], dtype=complex)
 
 
 def _apply_1q(psi: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
@@ -163,12 +173,48 @@ def _apply_2q(psi: np.ndarray, u: np.ndarray, q0: int, q1: int) -> np.ndarray:
     return t.reshape(-1)
 
 
+# Index arrays are cached only for vectors of at most 2^16 entries (an
+# 8-qubit rho), 512 KiB each, at most 64 of them; larger vectors build
+# theirs per call. They stay intp: int32 indices gathered 2-3x slower.
+_INDEX_CACHE_MAX_LEN = 2 ** 16
+_INDEX_CACHE_ENTRIES = 64
+_INDEX_CACHE_BYTES = (_INDEX_CACHE_ENTRIES * _INDEX_CACHE_MAX_LEN
+                     * np.dtype(np.intp).itemsize)   # 32 MiB
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _build_cnot_index(n_bits: int,
+                      pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    z = np.arange(2 ** n_bits, dtype=np.intp)
+    index = z.copy()
+    for c, t in pairs:
+        index ^= ((z >> c) & 1) << t
+    return _read_only(index)
+
+
+_cached_cnot_index = functools.lru_cache(maxsize=_INDEX_CACHE_ENTRIES)(
+    _build_cnot_index)
+
+
+def _cnot_index(n_bits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Gather index of CNOTs on disjoint (control, target) bit pairs.
+
+    v[index] maps basis index z to z ^ (bit_c(z) << t) for every pair. A
+    gather only moves entries, so it is exact. The index is read-only.
+    """
+    if 2 ** n_bits <= _INDEX_CACHE_MAX_LEN:
+        return _cached_cnot_index(n_bits, pairs)
+    return _build_cnot_index(n_bits, pairs)
+
+
 def apply_gate_statevector(psi: np.ndarray, g: Gate) -> np.ndarray:
-    u = gate_matrix(g)
     if g.kind == "CNOT":
-        # matrix is |control target>
-        return _apply_2q(psi, u, g.qubits[0], g.qubits[1])
-    return _apply_1q(psi, u, g.qubits[0])
+        return psi[_cnot_index(psi.size.bit_length() - 1, (g.qubits,))]
+    return _apply_1q(psi, gate_matrix(g), g.qubits[0])
 
 
 def run_statevector(c: ParameterizedCircuit, cap: int = 24) -> Statevector:
@@ -209,9 +255,10 @@ def expectation_exact(state: Union[Statevector, DensityMatrix],
 
 
 def _pauli_expectations(state: Union[Statevector, DensityMatrix],
-                        letters: list[str]) -> np.ndarray:
+                        flips: np.ndarray, signs: np.ndarray,
+                        prefs: np.ndarray) -> np.ndarray:
     """Exact <P> of each Pauli string, from its flip mask f, sign mask s and
-    prefactor (``pauli._string_action``):
+    prefactor (``pauli.string_actions``):
 
     <psi|P|psi> = pref * sum_z conj(psi[z ^ f]) (-1)^popcount(z & s) psi[z]
     Tr(rho P)   = pref * sum_z rho[z, z ^ f] (-1)^popcount(z & s)
@@ -220,11 +267,9 @@ def _pauli_expectations(state: Union[Statevector, DensityMatrix],
     that size measured fastest, and memory stays bounded at any n.
     """
     z = np.arange(2 ** state.n_qubits)
-    flips, signs, prefs = (np.array(a) for a in
-                           zip(*map(_string_action, letters)))
-    out = np.empty(len(letters))
+    out = np.empty(len(flips))
     step = max(1, 2 ** 14 // z.size)
-    for lo in range(0, len(letters), step):
+    for lo in range(0, len(flips), step):
         block = slice(lo, lo + step)
         cols = z ^ flips[block, None]
         if isinstance(state, Statevector):
@@ -270,15 +315,17 @@ def expectation_sampled(state: Union[Statevector, DensityMatrix],
         return expectation_exact(state, h)
     if not h.is_hermitian():
         raise SimulationError("expectation requires a Hermitian PauliSum")
-    terms = dict(h.sorted_items())
-    total = terms.pop("I" * h.n_qubits, 0.0).real
-    if terms:
+    flips, signs, prefs, coeffs = h.string_table()
+    measured = (flips | signs) != 0   # all but the identity string
+    total = float(coeffs[~measured].real.sum())
+    if measured.any():
         # rounding can put an eigenstate's p a little outside [0, 1]
-        p = np.clip((1.0 - _pauli_expectations(state, list(terms))) / 2.0,
-                    0.0, 1.0)
+        p = np.clip((1.0 - _pauli_expectations(
+            state, flips[measured], signs[measured], prefs[measured])) / 2.0,
+            0.0, 1.0)
         minus = np.random.default_rng(rng_seed).binomial(n_shots, p)
-        coeffs = np.real(list(terms.values()))
-        total += float(np.dot(coeffs, 1.0 - 2.0 * minus / n_shots))
+        total += float(np.dot(coeffs[measured].real,
+                              1.0 - 2.0 * minus / n_shots))
     return float(total)
 
 
@@ -296,13 +343,17 @@ class Schedule:
 
 def schedule_circuit(c: ParameterizedCircuit, nm: NoiseModel) -> Schedule:
     """Each gate starts at the max end-time of its qubits' previous gates."""
+    return _schedule(c.n_qubits, [(g.kind, g.qubits) for g in c.gates], nm)
+
+
+def _schedule(n_qubits: int, layout, nm: NoiseModel) -> Schedule:
     ready: dict[int, float] = {}   # end of the last gate on each used qubit
     spans = []
-    idles: list[list[tuple[float, float]]] = [[] for _ in range(c.n_qubits)]
-    for g in c.gates:
-        dur = float(nm.duration(g.kind))
-        start = max(ready.get(q, 0.0) for q in g.qubits)
-        for q in g.qubits:
+    idles: list[list[tuple[float, float]]] = [[] for _ in range(n_qubits)]
+    for kind, qubits in layout:
+        dur = float(nm.duration(kind))
+        start = max(ready.get(q, 0.0) for q in qubits)
+        for q in qubits:
             if q in ready and ready[q] < start:
                 idles[q].append((ready[q], start))
             ready[q] = start + dur
@@ -337,15 +388,6 @@ def _superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     return sum(np.kron(e, e.conj()) for e in kraus)
 
 
-def _apply_gate_density(v: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    u = gate_matrix(g)
-    if g.kind == "CNOT":
-        c, t = g.qubits
-        return _apply_2q(_apply_2q(v, u, c + n, t + n), u.conj(), c, t)
-    q = g.qubits[0]
-    return _apply_2q(v, _superoperator([u]), q + n, q)
-
-
 def _apply_kraus_1q(rho: np.ndarray, kraus: list[np.ndarray],
                     q: int) -> np.ndarray:
     n = rho.shape[0].bit_length() - 1
@@ -358,6 +400,43 @@ def apply_idle_channel(rho: np.ndarray, q: int, t_ns: float,
     if t_ns <= 0:
         return rho
     return _apply_kraus_1q(rho, _idle_kraus(t_ns, nm), q)
+
+
+@functools.lru_cache(maxsize=8)
+def _noisy_program(n: int, layout: tuple, t1_us: float, t2_us: float,
+                   durations: tuple) -> tuple:
+    """The theta-independent op list of a noisy run, in application order.
+
+    Each op is (tag, q, arg): ("channel", q, S) applies the read-only 4x4
+    superoperator S on vector qubits (q + n, q); ("rotation", q, i) the
+    superoperator of bound gate i; ("cnot", None, pairs) the gather
+    ``_cnot_index(2 n, pairs)`` on rows and columns at once. The arguments
+    are the key: a NoiseModel holds a dict, so it is neither hashable nor
+    fixed after construction. The tuple is shared by every caller.
+    """
+    nm = NoiseModel(t1_us, t2_us, dict(durations))
+    sched = _schedule(n, layout, nm)
+    # an interval on qubit q ends at the start of q's next gate or at the end
+    waits = {(q, b): b - a for q, intervals in enumerate(sched.idle_intervals)
+             for a, b in intervals}
+    superops = {t: _read_only(_superoperator(_idle_kraus(t, nm)))
+                for t in set(waits.values())}
+    ops = []
+    for i, ((kind, qubits), (start, _)) in enumerate(
+            zip(layout, sched.gate_spans)):
+        for q in qubits:
+            if (q, start) in waits:
+                ops.append(("channel", q, superops[waits.pop((q, start))]))
+        if kind == "CNOT":
+            c, t = qubits
+            ops.append(("cnot", None, ((c + n, t + n), (c, t))))
+        elif kind in ROTATIONS:
+            ops.append(("rotation", qubits[0], i))
+        else:
+            u = gate_matrix(Gate(kind, qubits))
+            ops.append(("channel", qubits[0], _read_only(_superoperator([u]))))
+    ops.extend(("channel", q, superops[t]) for (q, _), t in waits.items())
+    return tuple(ops)
 
 
 def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
@@ -376,18 +455,15 @@ def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
         return DensityMatrix.from_statevector(run_statevector(c, cap=24))
 
     n = c.n_qubits
-    sched = schedule_circuit(c, nm)
-    # an interval on qubit q ends at the start of q's next gate or at the end
-    waits = {(q, b): b - a for q, intervals in enumerate(sched.idle_intervals)
-             for a, b in intervals}
-    superops = {t: _superoperator(_idle_kraus(t, nm))
-                for t in set(waits.values())}
+    program = _noisy_program(
+        n, tuple((g.kind, g.qubits) for g in c.gates), nm.t1_us, nm.t2_us,
+        tuple(sorted(nm.durations_ns.items())))
     v = Statevector.zero_state(2 * n).amplitudes
-    for g, (start, _) in zip(c.gates, sched.gate_spans):
-        for q in g.qubits:
-            if (q, start) in waits:
-                v = _apply_2q(v, superops[waits.pop((q, start))], q + n, q)
-        v = _apply_gate_density(v, g, n)
-    for (q, _), t in waits.items():
-        v = _apply_2q(v, superops[t], q + n, q)
+    for tag, q, arg in program:
+        if tag == "cnot":
+            v = v[_cnot_index(2 * n, arg)]
+            continue
+        if tag == "rotation":
+            arg = _superoperator([gate_matrix(c.gates[arg])])
+        v = _apply_2q(v, arg, q + n, q)
     return DensityMatrix(n, v.reshape(2 ** n, 2 ** n))

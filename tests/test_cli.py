@@ -109,6 +109,30 @@ def test_invalid_count_is_validation_error(tmp_path, h2_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep-t1", "--t1-list", "-5"),
+    ("sweep-t1", "--t1-list", ["100", "0"]),
+    ("vqe", "--noise", "unphysical.json"),
+    ("vqe", "--noise", "missing.json"),
+    ("vqe", "--noise", "text_t1.json"),
+    ("vqe", "--noise", "list.json"),
+])
+def test_invalid_noise_is_validation_error(tmp_path, h2_path, capsys,
+                                           command, flag, value):
+    # T2 = 30 us > 2 * T1 = 20 us
+    (tmp_path / "unphysical.json").write_text('{"t1_us": 10.0, "t2_us": 30.0}')
+    (tmp_path / "text_t1.json").write_text('{"t1_us": "fifty"}')
+    (tmp_path / "list.json").write_text('[50.0]')
+    if flag == "--noise":
+        value = str(tmp_path / value)
+    out = tmp_path / "out"
+    argv = vqe_args(h2_path, out, **{flag: value})
+    argv[0] = command
+    assert main(argv) == 1
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_vqe_qucc_mp2_initialization(tmp_path, h2_path):
     rc = main(vqe_args(h2_path, tmp_path, **{"--ansatz": "qucc",
                                              "--initial": "mp2",

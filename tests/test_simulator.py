@@ -1,20 +1,25 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vqesim.ansatz import Gate, ParameterizedCircuit, build_he
-from vqesim.pauli import PauliSum
+from vqesim.pauli import PauliSum, string_actions
 from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               Statevector, amplitude_damping_kraus,
-                              apply_idle_channel, dephasing_kraus,
-                              expectation_exact, expectation_sampled,
-                              run_density_matrix, run_statevector,
-                              sample_bitstrings, schedule_circuit)
-from vqesim.simulator import _pauli_expectations
+                              apply_gate_statevector, apply_idle_channel,
+                              dephasing_kraus, expectation_exact,
+                              expectation_sampled, run_density_matrix,
+                              run_statevector, sample_bitstrings,
+                              schedule_circuit)
+from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
+                              _cached_cnot_index, _cnot_index,
+                              _pauli_expectations)
 
-from oracles import (apply_kraus_full, circuit_unitary, idle_kraus_full,
-                     noisy_density_matrix, pauli_matrix, pauli_sum_matrix)
+from oracles import (apply_kraus_full, circuit_unitary, embed_cnot,
+                     idle_kraus_full, noisy_density_matrix, pauli_matrix,
+                     pauli_sum_matrix)
 
 
 def bell_state():
@@ -226,10 +231,10 @@ def test_term_expectations_match_dense_oracle(n):
     letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(40)]
     letters += ["Y" + "I" * (n - 1), "XY" + "Z" * (n - 2), "YYY" + "X" * (n - 3)]
     mats = [pauli_matrix(l) for l in letters]
-    got = _pauli_expectations(Statevector(n, psi), letters)
+    got = _pauli_expectations(Statevector(n, psi), *string_actions(letters))
     expected = [np.real(psi.conj() @ m @ psi) for m in mats]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-    got = _pauli_expectations(DensityMatrix(n, rho), letters)
+    got = _pauli_expectations(DensityMatrix(n, rho), *string_actions(letters))
     expected = [np.real(np.trace(rho @ m)) for m in mats]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -483,3 +488,105 @@ def test_density_matrix_matches_dense_kraus_oracle(nm):
             expected = noisy_density_matrix(c, t1_us, t2_us, nm.durations_ns)
             np.testing.assert_allclose(run_density_matrix(c, nm).rho,
                                        expected, rtol=0, atol=1e-12)
+
+
+def random_mixed_state(n, rng):
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n,
+                                                                2 ** n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cnot_permutation_matches_dense_oracle(n):
+    rng = np.random.default_rng(60 + n)
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    rho = random_mixed_state(n, rng)
+    for c in range(n):
+        for t in range(n):
+            if c == t:
+                continue
+            u = embed_cnot(c, t, n)
+            got = apply_gate_statevector(psi, Gate("CNOT", (c, t)))
+            np.testing.assert_allclose(got, u @ psi, rtol=0, atol=1e-15)
+            # rows are vector qubits q + n, columns q: one gather for both
+            index = _cnot_index(2 * n, ((c + n, t + n), (c, t)))
+            got = rho.reshape(-1)[index].reshape(rho.shape)
+            np.testing.assert_allclose(got, u @ rho @ u.conj().T,
+                                       rtol=0, atol=1e-15)
+
+
+def _assert_matches_oracle(c, nm):
+    expected = noisy_density_matrix(c, nm.t1_us, nm.t2_us, nm.durations_ns)
+    np.testing.assert_allclose(run_density_matrix(c, nm).rho, expected,
+                               rtol=0, atol=1e-12)
+
+
+def test_compiled_noise_program_is_keyed_on_every_input():
+    rng = np.random.default_rng(61)
+    c = random_circuit(3, 20, rng)
+    slow_cnot = dict(NoiseModel().durations_ns, CNOT=400.0)
+    models = [NoiseModel(t1_us=0.2, t2_us=0.2),
+              NoiseModel(t1_us=0.5, t2_us=0.2),   # only T1 differs
+              NoiseModel(t1_us=0.2, t2_us=0.1),   # only T2 differs
+              NoiseModel(t1_us=0.2, t2_us=0.2, durations_ns=slow_cnot)]
+    for _ in range(2):   # alternately, so every program is reused
+        for nm in models:
+            _assert_matches_oracle(c, nm)
+    # two layouts that differ only in the direction of one CNOT
+    gates = (Gate("H", (0,)), Gate("RY", (2,), angle=0.7),
+             Gate("CNOT", (0, 1)), Gate("X", (2,)), Gate("CNOT", (1, 2)))
+    flipped = gates[:-1] + (Gate("CNOT", (2, 1)),)
+    nm = models[0]
+    for _ in range(2):
+        for g in (gates, flipped):
+            _assert_matches_oracle(ParameterizedCircuit(3, g, 0), nm)
+
+
+def test_durations_mutated_in_place_change_the_next_run():
+    c = random_circuit(3, 20, np.random.default_rng(62))
+    nm = NoiseModel(t1_us=0.2, t2_us=0.2)
+    first = run_density_matrix(c, nm).rho
+    nm.durations_ns["CNOT"] = 500.0
+    second = run_density_matrix(c, nm).rho
+    assert not np.allclose(first, second)
+    _assert_matches_oracle(c, nm)
+
+
+def test_writing_into_a_result_does_not_change_the_next():
+    rng = np.random.default_rng(63)
+    for c in (random_circuit(3, 20, rng),
+              ParameterizedCircuit(2, (Gate("CNOT", (0, 1)),), 0)):
+        psi = run_statevector(c).amplitudes
+        expected = psi.copy()
+        psi[:] = 7.0
+        np.testing.assert_array_equal(run_statevector(c).amplitudes, expected)
+        nm = NoiseModel(t1_us=0.2, t2_us=0.2)
+        rho = run_density_matrix(c, nm).rho
+        expected = rho.copy()
+        rho[:] = 7.0
+        np.testing.assert_array_equal(run_density_matrix(c, nm).rho, expected)
+
+
+def test_cnot_index_cache_stays_under_its_byte_ceiling():
+    n_bits = _INDEX_CACHE_MAX_LEN.bit_length() - 1
+    pairs = [((c, t),) for c in range(n_bits) for t in range(n_bits) if c != t]
+    _cached_cnot_index.cache_clear()
+    tracemalloc.start()
+    try:
+        for p in pairs:   # far more cacheable indices than the cache holds
+            _cnot_index(n_bits, p)
+        cached, _ = tracemalloc.get_traced_memory()
+        # one bit more than the largest cached vector: built, never kept
+        for p in pairs[:4]:
+            a = _cnot_index(n_bits + 1, p)
+            assert a is not _cnot_index(n_bits + 1, p)
+        del a
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _cached_cnot_index.cache_clear()
+    assert len(pairs) * _INDEX_CACHE_MAX_LEN * 8 > 2 * _INDEX_CACHE_BYTES
+    assert cached <= _INDEX_CACHE_BYTES + 2 ** 20
+    assert after <= cached + 2 ** 20
+    assert _cnot_index(4, ((0, 1),)) is _cnot_index(4, ((0, 1),))
