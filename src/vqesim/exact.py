@@ -1,4 +1,8 @@
-"""Exact references: sector-restricted diagonalization, 1-RDM and NOONs."""
+"""Exact references: sector-restricted diagonalization, 1-RDM and NOONs.
+
+The sector Hamiltonian comes from the compiled form of the PauliSum
+(``PauliSum.basis_matrix`` on the sector's basis indices).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .fermion import FermionOperator, jordan_wigner
@@ -42,32 +45,14 @@ def _sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
     return idx[counts == n_electrons]
 
 
-def _sector_matrix(h: PauliSum, sector: np.ndarray, sparse: bool):
-    """P H P restricted to the given basis indices."""
-    order = np.argsort(sector)
-    sec_sorted = sector[order]
-    dim = sector.size
-    rows, cols, vals = [sector[:0]], [sector[:0]], [np.zeros(0, complex)]
-    for flip, w in h.flip_weights(sector):
-        # H[z^f, z] = w(z): row is the flipped state, column the source
-        targets = sector ^ flip
-        pos = np.clip(np.searchsorted(sec_sorted, targets), 0, dim - 1)
-        ok = sec_sorted[pos] == targets
-        rows.append(order[pos[ok]])
-        cols.append(np.flatnonzero(ok))
-        vals.append(w[ok])
-    mat = scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
-    return mat if sparse else mat.toarray()
-
-
 def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
                  dense_cap: int = 12, cap: int = 16,
                  tol: float = 1e-10) -> SpectrumResult:
     """Lowest eigenpair of H restricted to the fixed particle-number sector.
 
-    Dense Hermitian solve up to dense_cap qubits, Lanczos (ARPACK) above.
+    The sector matrix is ``h.basis_matrix`` on the sector's basis indices.
+    Dense Hermitian solve up to dense_cap qubits, Lanczos (ARPACK) above,
+    from a fixed seeded start vector so that repeated calls agree exactly.
     """
     n = h.n_qubits
     if n > cap:
@@ -75,19 +60,16 @@ def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
     if not 0 <= n_electrons <= n:
         raise ReferenceError(f"empty sector: {n_electrons} electrons on {n} qubits")
     sector = _sector_indices(n, n_electrons)
-    if sector.size == 0:
-        raise ReferenceError("empty particle-number sector")
-    if sector.size == 1:
-        mat = _sector_matrix(h, sector, sparse=False)
-        energy, vec = float(mat[0, 0].real), np.ones(1, dtype=complex)
-    elif n <= dense_cap:
-        mat = _sector_matrix(h, sector, sparse=False)
+    mat = h.basis_matrix(sector)
+    # ARPACK's complex Hermitian solver needs a sector of more than k + 1 = 2
+    if n <= dense_cap or sector.size <= 2:
+        mat = mat.toarray()   # frees the CSR before the dense solve
         evals, evecs = np.linalg.eigh(mat)
-        energy, vec = float(evals[0]), evecs[:, 0]
     else:
-        mat = _sector_matrix(h, sector, sparse=True)
-        evals, evecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA", tol=tol)
-        energy, vec = float(evals[0]), evecs[:, 0]
+        v0 = np.random.default_rng(0).standard_normal(sector.size)
+        evals, evecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA",
+                                                 tol=tol, v0=v0)
+    energy, vec = float(evals[0]), evecs[:, 0]
     full = np.zeros(2 ** n, dtype=complex)
     full[sector] = vec
     return SpectrumResult(ground_energy=energy + e_core,

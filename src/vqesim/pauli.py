@@ -6,12 +6,17 @@ Conventions used throughout the package:
   ``"XZI"`` puts X on qubit 0 and Z on qubit 1.
 * Qubit 0 is the least significant bit of a computational-basis index,
   so the dense matrix of a string is ``P[q_{n-1}] (x) ... (x) P[q_0]``.
+
+A ``PauliSum`` compiles once into its term table (``string_table``, built
+by ``string_actions``), and ``basis_matrix`` assembles every sparse matrix
+of the sum from it: the whole space for <H>, a particle-number sector for
+the exact references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse
@@ -39,6 +44,11 @@ _PRODUCT = {
 
 _PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
+_I_POWERS = np.array([1, 1j, -1, -1j])   # i^k for k = 0, 1, 2, 3
+
+# largest |Im coeff| of a sum that expectation values accept as Hermitian
+HERMITIAN_TOL = 1e-10
+
 
 class PauliError(ValueError):
     pass
@@ -50,30 +60,22 @@ def _check_letters(letters: str) -> None:
         raise PauliError(f"invalid Pauli letters: {sorted(bad)}")
 
 
-def _string_action(letters: str) -> tuple[int, int, complex]:
-    """Flip mask, sign mask and prefactor of a Pauli string on basis states.
-
-    P|z> = pref * (-1)^popcount(z & sign_mask) |z ^ flip_mask>.
-    """
-    flip = sign = 0
-    n_y = 0
-    for q, l in enumerate(letters):
-        if l in ("X", "Y"):
-            flip |= 1 << q
-        if l in ("Y", "Z"):
-            sign |= 1 << q
-        if l == "Y":
-            n_y += 1
-    return flip, sign, 1j ** n_y
-
-
 def string_actions(letters: Iterable[str]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flip masks, sign masks and prefactors (``_string_action``) as arrays."""
-    actions = [_string_action(l) for l in letters]
-    return (np.array([a[0] for a in actions], dtype=int),
-            np.array([a[1] for a in actions], dtype=int),
-            np.array([a[2] for a in actions], dtype=complex))
+    """Flip masks, sign masks and prefactors of equal-length Pauli strings.
+
+    P|z> = pref * (-1)^popcount(z & sign) |z ^ flip>: X and Y flip a qubit,
+    Y and Z sign it, and pref = i^(number of Y letters).
+    """
+    letters = list(letters)
+    n = len(letters[0]) if letters else 0
+    codes = np.frombuffer("".join(letters).encode("ascii"),
+                          dtype=np.uint8).reshape(len(letters), n)
+    y = codes == ord("Y")
+    bits = 1 << np.arange(n)
+    flips = ((y | (codes == ord("X"))) * bits).sum(axis=1)
+    signs = ((y | (codes == ord("Z"))) * bits).sum(axis=1)
+    return flips, signs, _I_POWERS[np.count_nonzero(y, axis=1) % 4]
 
 
 def parity(x: np.ndarray) -> np.ndarray:
@@ -212,34 +214,19 @@ class PauliSum:
         return PauliSum(self.n_qubits,
                         {k: np.conj(v) for k, v in self._terms.items()})
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         # the largest |Im coeff| is cached; the tolerance is applied per call
         if self._max_imag is None:
             self._max_imag = float(np.max(
                 np.abs(np.imag(list(self._terms.values()))), initial=0.0))
         return self._max_imag <= tol
 
-    def flip_weights(self, z: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """(f, w_f(z)) for every X-flip mask f, in increasing order of f.
-
-        Terms sharing a flip mask fold into one weight vector
-        w_f(z) = sum_t coeff_t * pref_t * (-1)^popcount(z & sign_t), so
-        that H|z> = sum_f w_f(z) |z ^ f> for the basis indices z.
-        """
-        groups: Dict[int, list[tuple[int, complex]]] = {}
-        for letters, coeff in self.sorted_items():
-            flip, sign, pref = _string_action(letters)
-            groups.setdefault(flip, []).append((sign, coeff * pref))
-        for flip in sorted(groups):
-            w = np.zeros(z.shape, dtype=complex)
-            for sign, c in groups[flip]:
-                w += c * (1.0 - 2.0 * parity(z & sign))
-            yield flip, w
-
     def string_table(self) -> tuple[np.ndarray, ...]:
         """(flips, signs, prefs, coeffs) of the terms in sorted order.
 
-        The first three are ``string_actions`` of the letter strings; the
+        This is the compiled form of the sum: the first three are
+        ``string_actions`` of the letter strings, and ``basis_matrix`` and
+        the simulator's expectation values read only this table. The
         arrays are built once, cached and read-only.
         """
         if self._table is None:
@@ -251,27 +238,43 @@ class PauliSum:
             self._table = table
         return self._table
 
-    def sparse_matrix(self) -> scipy.sparse.csr_array:
-        """The sum as a 2^n x 2^n CSR matrix, built once and cached.
+    def basis_matrix(self, basis: np.ndarray) -> scipy.sparse.csr_array:
+        """H on the distinct basis indices ``basis``, as a CSR matrix.
 
-        Entries are H[z ^ f, z] = w_f(z) from ``flip_weights``. Weights
-        that cancel to exactly zero (such as the XX + YY halves of a
-        number-conserving hopping term) are not stored. The cached matrix
-        is shared: do not modify it.
+        Entry (i, j) is <basis[i]|H|basis[j]>. Terms sharing a flip mask f
+        fold into one weight w_f(z) = sum_t coeff_t * pref_t *
+        (-1)^popcount(z & sign_t), so that H|z> = sum_f w_f(z) |z ^ f>;
+        targets z ^ f outside the basis are dropped. Weights that cancel to
+        exactly zero (such as the XX + YY halves of a number-conserving
+        hopping term) are not stored.
+        """
+        flips, signs, prefs, coeffs = self.string_table()
+        dim = basis.size
+        index = np.full(2 ** self.n_qubits, -1)   # basis state -> position
+        index[basis] = np.arange(dim)
+        rows, cols, vals = [basis[:0]], [basis[:0]], [np.zeros(0, complex)]
+        for flip in np.unique(flips):
+            w = np.zeros(dim, dtype=complex)
+            for t in np.flatnonzero(flips == flip):
+                c = coeffs[t] * prefs[t]
+                w += c * (1.0 - 2.0 * parity(basis & signs[t]))
+            # H[z ^ f, z] = w_f(z): the row is the flipped state
+            pos = index[basis ^ flip]
+            keep = np.flatnonzero((pos >= 0) & (w != 0))
+            rows.append(pos[keep])
+            cols.append(keep)
+            vals.append(w[keep])
+        return scipy.sparse.csr_array(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
+
+    def sparse_matrix(self) -> scipy.sparse.csr_array:
+        """``basis_matrix`` on the whole 2^n space, built once and cached.
+
+        The cached matrix is shared: do not modify it.
         """
         if self._sparse is None:
-            dim = 2 ** self.n_qubits
-            idx = np.arange(dim)
-            rows, cols, vals = [idx[:0]], [idx[:0]], [np.zeros(0, complex)]
-            for flip, w in self.flip_weights(idx):
-                nz = np.flatnonzero(w)
-                rows.append(nz ^ flip)
-                cols.append(nz)
-                vals.append(w[nz])
-            self._sparse = scipy.sparse.csr_array(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(dim, dim))
+            self._sparse = self.basis_matrix(np.arange(2 ** self.n_qubits))
         return self._sparse
 
     def to_matrix(self, cap: int = 16) -> np.ndarray:

@@ -13,6 +13,10 @@ layout and NoiseModel (``_noisy_program``): the schedule order, the idle
 and fixed-gate superoperators and the CNOT index keys. Only rotation
 superoperators are built per call. Index arrays are cached for vectors of
 at most ``_INDEX_CACHE_MAX_LEN`` entries, in at most ``_INDEX_CACHE_BYTES``.
+
+Expectation values read the Hamiltonian's compiled form
+(``PauliSum.sparse_matrix`` and ``string_table``), exact and sampled alike
+with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .ansatz import ROTATIONS, Gate, ParameterizedCircuit
-from .pauli import PauliSum, parity
+from .pauli import HERMITIAN_TOL, PauliSum, parity
 
 
 class SimulationError(ValueError):
@@ -46,13 +50,13 @@ class NoiseModel:
 
     ``t2_us`` is the pure-dephasing time: with amplitude damping, coherences
     decay at 1/T2' = 1/T2 + 1/(2*T1) (``t2_prime_us``). The T2 <= 2*T1 check
-    is the physical bound on the total T2, applied to ``t2_us``.
+    is the physical bound on the total T2, applied to ``t2_us``. A
+    noiseless run passes no NoiseModel.
     """
 
     t1_us: float = TABLE1_T1_US
     t2_us: float = TABLE1_T2_US
     durations_ns: dict = field(default_factory=lambda: dict(TABLE1_DURATIONS_NS))
-    enabled: bool = True
 
     def __post_init__(self):
         if self.t1_us <= 0 or self.t2_us <= 0:
@@ -73,7 +77,7 @@ class NoiseModel:
             raise SimulationError(f"no duration defined for gate {kind!r}")
 
     @classmethod
-    def from_json(cls, text: str, enabled: bool = True) -> "NoiseModel":
+    def from_json(cls, text: str) -> "NoiseModel":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise SimulationError("noise JSON must be an object")
@@ -81,7 +85,7 @@ class NoiseModel:
         durations.update(data.get("durations_ns", {}))
         return cls(t1_us=data.get("t1_us", TABLE1_T1_US),
                    t2_us=data.get("t2_us", TABLE1_T2_US),
-                   durations_ns=durations, enabled=enabled)
+                   durations_ns=durations)
 
     def to_json(self) -> str:
         return json.dumps({"t1_us": self.t1_us, "t2_us": self.t2_us,
@@ -232,8 +236,8 @@ def run_statevector(c: ParameterizedCircuit, cap: int = 24) -> Statevector:
 # ---------------------------------------------------------------------------
 # expectation values
 
-def expectation_exact(state: Union[Statevector, DensityMatrix],
-                      h: PauliSum, hermitian_tol: float = 1e-10) -> float:
+def expectation_exact(state: Union[Statevector, DensityMatrix], h: PauliSum,
+                      hermitian_tol: float = HERMITIAN_TOL) -> float:
     """<H> from the Hamiltonian's compiled sparse matrix.
 
     ``h.sparse_matrix()`` folds every Pauli term into one CSR matrix; it is
@@ -313,7 +317,7 @@ def expectation_sampled(state: Union[Statevector, DensityMatrix],
         raise SimulationError("state / operator qubit-count mismatch")
     if n_shots == 0:
         return expectation_exact(state, h)
-    if not h.is_hermitian():
+    if not h.is_hermitian(HERMITIAN_TOL):
         raise SimulationError("expectation requires a Hermitian PauliSum")
     flips, signs, prefs, coeffs = h.string_table()
     measured = (flips | signs) != 0   # all but the identity string
@@ -451,9 +455,6 @@ def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
         raise SimulationError("circuit has unbound parameters")
     if c.n_qubits > cap:
         raise SimulationError(f"{c.n_qubits} qubits exceeds cap {cap}")
-    if not nm.enabled:
-        return DensityMatrix.from_statevector(run_statevector(c, cap=24))
-
     n = c.n_qubits
     program = _noisy_program(
         n, tuple((g.kind, g.qubits) for g in c.gates), nm.t1_us, nm.t2_us,

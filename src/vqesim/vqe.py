@@ -137,7 +137,7 @@ def make_energy_fn(c: ParameterizedCircuit, h: PauliSum, e_core: float,
     """Objective E(theta) = e_core + <H> under the configured execution mode."""
     if c.n_qubits != h.n_qubits:
         raise VqeError("circuit / Hamiltonian qubit-count mismatch")
-    noisy = cfg.noise is not None and cfg.noise.enabled
+    noisy = cfg.noise is not None
     shot_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.rng_seed, spawn_key=(1,)))
 

@@ -18,6 +18,13 @@ def test_single_qubit_z_sector():
                                atol=1e-12)
 
 
+def test_sparse_path_on_two_state_sector():
+    # one electron on two qubits: a 2 x 2 sector, below ARPACK's minimum
+    h = PauliSum(2, {"XX": 0.5, "YY": 0.5, "ZI": 0.3})
+    res = ground_state(h, 1, dense_cap=0)
+    assert res.ground_energy == pytest.approx(-np.sqrt(1.09))
+
+
 def test_h2_matches_determinant_oracle(h2_problem):
     ham = build_hamiltonian(h2_problem.integrals)
     oracle = (sector_ground_energy(fermion_matrix(ham).real, 4, 2)
@@ -47,11 +54,20 @@ def test_ground_state_is_eigenvector(h2_problem):
             assert abs(v[z]) < 1e-14
 
 
-def test_sparse_path_matches_dense(h2_problem):
-    dense = ground_state(h2_problem.hamiltonian, 2, h2_problem.e_core)
-    sparse = ground_state(h2_problem.hamiltonian, 2, h2_problem.e_core,
-                          dense_cap=2)
-    assert abs(dense.ground_energy - sparse.ground_energy) < 1e-9
+def test_sparse_path_matches_dense(h2_problem, toy4_problem):
+    # Lanczos starts from a fixed vector, so repeated calls agree exactly
+    for p in (h2_problem, toy4_problem):
+        dense = ground_state(p.hamiltonian, p.n_electrons, p.e_core)
+        runs = [ground_state(p.hamiltonian, p.n_electrons, p.e_core,
+                             dense_cap=2) for _ in range(3)]
+        for run in runs:
+            assert run.ground_energy == runs[0].ground_energy
+            np.testing.assert_array_equal(run.ground_state.amplitudes,
+                                          runs[0].ground_state.amplitudes)
+        assert abs(dense.ground_energy - runs[0].ground_energy) < 1e-9
+        overlap = np.vdot(dense.ground_state.amplitudes,
+                          runs[0].ground_state.amplitudes)
+        assert abs(abs(overlap) - 1.0) < 1e-9
 
 
 def test_empty_sector_and_cap_errors():

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vqesim.pauli import (LETTERS, PauliError, PauliString, PauliSum,
-                          multiply, multiply_letters)
+                          multiply, multiply_letters, string_actions)
 
 from oracles import pauli_matrix, pauli_sum_matrix
 
@@ -145,6 +147,43 @@ def test_product_of_sums_matches_matrix_oracle():
     b = PauliSum(3, {"YYZ": 0.4, "IIX": rng.normal()})
     np.testing.assert_allclose((a * b).to_matrix(),
                                a.to_matrix() @ b.to_matrix(), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_string_actions_match_matrix_oracle(n):
+    # P|z> = pref * (-1)^popcount(z & sign) |z ^ flip> for all 4^n strings
+    letters = ["".join(p) for p in itertools.product(LETTERS, repeat=n)]
+    z = np.arange(2 ** n)
+    for l, flip, sign, pref in zip(letters, *string_actions(letters)):
+        m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        m[z ^ flip, z] = [pref * (-1) ** bin(v).count("1") for v in z & sign]
+        np.testing.assert_array_equal(m, pauli_matrix(l))
+
+
+def test_string_actions_of_no_strings():
+    assert all(a.shape == (0,) for a in string_actions([]))
+
+
+# odd numbers of Y (YIII, IZXY, YYYX) and two hopping pairs whose XX + YY
+# halves cancel on <0000|H|0011> and wherever qubits 1 and 2 agree
+BASIS_TERMS = {"IIII": -1.3, "ZIZI": 0.4, "IZIZ": -0.25, "YIII": 0.2,
+               "IZXY": -0.6, "YYYX": 0.15, "XXII": 0.5, "YYII": 0.5,
+               "IXXZ": 0.3, "IYYZ": 0.3}
+
+
+@pytest.mark.parametrize("basis", [np.arange(16),
+                                   np.array([0, 1, 3, 5, 6, 9, 10, 12, 15]),
+                                   np.array([15, 0, 9, 3, 6, 1, 12, 10])],
+                         ids=["full", "sorted_subset", "unsorted_subset"])
+def test_basis_matrix_matches_dense_restriction(basis):
+    h = PauliSum(4, BASIS_TERMS)
+    expected = h.to_matrix()[np.ix_(basis, basis)]
+    m = h.basis_matrix(basis)
+    np.testing.assert_allclose(m.toarray(), expected, rtol=0, atol=1e-15)
+    assert m.nnz == np.count_nonzero(expected)   # exact zeros not stored
+    if basis.size == 16:
+        np.testing.assert_array_equal(h.sparse_matrix().toarray(),
+                                      m.toarray())
 
 
 def test_pruning_below_tolerance():

@@ -145,6 +145,19 @@ def test_hermitian_tolerance_applies_per_call():
     assert expectation_exact(s, h, hermitian_tol=1e-10) == pytest.approx(1.0)
 
 
+def test_sampled_and_exact_share_hermitian_tolerance():
+    # |Im c| = 5e-11 is within tolerance for every shot count
+    h = PauliSum(1, {"Z": 1.0 + 5e-11j})
+    s = Statevector.zero_state(1)
+    assert expectation_exact(s, h) == 1.0
+    for shots in (0, 64):
+        assert expectation_sampled(s, h, shots, rng_seed=2) == 1.0
+    h = PauliSum(1, {"Z": 1.0 + 2e-10j})
+    for shots in (0, 64):
+        with pytest.raises(SimulationError):
+            expectation_sampled(s, h, shots, rng_seed=2)
+
+
 def test_expectation_rejects_qubit_count_mismatch():
     with pytest.raises(SimulationError):
         expectation_exact(Statevector.zero_state(2), PauliSum(1, {"Z": 1.0}))
@@ -417,16 +430,6 @@ def test_dephasing_preserves_diagonal():
 # ---------------------------------------------------------------------------
 # density-matrix engine
 
-def test_disabled_noise_equals_pure_state():
-    rng = np.random.default_rng(43)
-    for _ in range(4):
-        c = random_circuit(4, 12, rng)
-        nm = NoiseModel(enabled=False)
-        rho = run_density_matrix(c, nm).rho
-        psi = run_statevector(c).amplitudes
-        np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
-
-
 def test_noisy_run_physicality():
     rng = np.random.default_rng(44)
     c = random_circuit(3, 14, rng)
@@ -476,18 +479,13 @@ def test_density_matrix_tail_idle_decay():
 
 @pytest.mark.parametrize("nm", [
     NoiseModel(), NoiseModel(t1_us=0.1, t2_us=0.1),
-    NoiseModel(t1_us=0.08, t2_us=0.03), NoiseModel(enabled=False),
-], ids=["table1", "strong", "t2_below_t1", "disabled"])
+    NoiseModel(t1_us=0.08, t2_us=0.03),
+], ids=["table1", "strong", "t2_below_t1"])
 def test_density_matrix_matches_dense_kraus_oracle(nm):
-    # infinite T1 and T2 make every oracle idle channel the identity
-    t1_us, t2_us = (nm.t1_us, nm.t2_us) if nm.enabled else (np.inf, np.inf)
     rng = np.random.default_rng(48)
     for n in (1, 2, 3, 4):
         for _ in range(3):
-            c = random_circuit(n, 16, rng)
-            expected = noisy_density_matrix(c, t1_us, t2_us, nm.durations_ns)
-            np.testing.assert_allclose(run_density_matrix(c, nm).rho,
-                                       expected, rtol=0, atol=1e-12)
+            _assert_matches_oracle(random_circuit(n, 16, rng), nm)
 
 
 def random_mixed_state(n, rng):
