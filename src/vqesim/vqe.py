@@ -214,6 +214,8 @@ def run_trials(c: ParameterizedCircuit, h: PauliSum, e_core: float,
     """
     if n_trials < 1:
         raise VqeError("n_trials must be >= 1")
+    if jobs < 1:
+        raise VqeError("jobs must be >= 1")
     seeds = derive_trial_seeds(cfg.rng_seed, n_trials)
     configs = [replace(cfg, rng_seed=s) for s in seeds]
 

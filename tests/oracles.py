@@ -75,6 +75,31 @@ def gate_unitary(g, n):
     return embed_1q(rotation(g.kind, g.angle), g.qubits[0], n)
 
 
+def tensor_statevector(circuit):
+    """psi of a bound circuit from |0..0>, one gate at a time on a tensor.
+
+    psi has one axis per qubit, qubit q on axis n - 1 - q (qubit 0 is the
+    least significant bit of the flat index). Each gate is a tensordot of
+    its 2x2 or 4x4 matrix with the axes of its qubits.
+    """
+    n = circuit.n_qubits
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for g in circuit.gates:
+        if g.kind == "CNOT":
+            u = np.eye(4, dtype=complex)[[0, 1, 3, 2]]   # |control target>
+        elif g.kind in GATES_1Q:
+            u = GATES_1Q[g.kind]
+        else:
+            u = rotation(g.kind, g.angle)
+        k = len(g.qubits)
+        axes = [n - 1 - q for q in g.qubits]
+        psi = np.tensordot(u.reshape((2,) * (2 * k)), psi,
+                           axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, list(range(k)), axes)
+    return psi.reshape(-1)
+
+
 def circuit_unitary(circuit):
     """Full unitary of a bound circuit by multiplying embedded gate matrices."""
     n = circuit.n_qubits

@@ -63,12 +63,14 @@ def toy4_floor(toy4_problem):
 
 @pytest.fixture(scope="module")
 def he_trials(toy4_problem, toy4_floor):
-    """50 random-start HE-v3 trials on the 8-qubit problem."""
+    """50 random-start HE-v3 trials on the 8-qubit problem, serially:
+    COBYLA holds the GIL, and jobs=1 measured fastest (10.8 s against
+    13.5 s at jobs=2 and 18.7 s at jobs=4 on 2 CPUs)."""
     circuit, _ = build_ansatz("he_v3", toy4_problem, depth=1)
     cfg = VqeConfig(max_iterations=200, initial_guess="random", rng_seed=11)
     t0 = time.monotonic()
     ensemble = run_trials(circuit, toy4_problem.hamiltonian,
-                          toy4_problem.e_core, cfg, n_trials=50, jobs=4)
+                          toy4_problem.e_core, cfg, n_trials=50, jobs=1)
     _DURATIONS["he_trials"] = time.monotonic() - t0
     assert all(e is None for e in ensemble.errors)
     for r in ensemble.results:

@@ -13,12 +13,19 @@ ONE_QUBIT = ("H", "X", "Y", "Z", "RX", "RY", "RZ")
 
 @st.composite
 def circuits(draw):
-    n = draw(st.integers(1, 4))
-    kinds = ONE_QUBIT + (("CNOT",) if n > 1 else ())
+    """Up to 40 gates on 1-6 qubits. CNOTs act only on the first ``wired``
+    qubits, so the rest see one-qubit gates alone, and a tail of one-qubit
+    gates follows the last CNOT. A CNOT is drawn three times as often as
+    each one-qubit kind."""
+    n = draw(st.integers(1, 6))
+    wired = draw(st.integers(0, n))
+    kinds = ONE_QUBIT + (("CNOT",) * 3 if wired > 1 else ())
+    body = draw(st.lists(st.sampled_from(kinds), max_size=32))
+    tail = draw(st.lists(st.sampled_from(ONE_QUBIT), max_size=8))
     gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), max_size=16)):
+    for kind in body + tail:
         if kind == "CNOT":
-            control, target = draw(st.permutations(range(n)))[:2]
+            control, target = draw(st.permutations(range(wired)))[:2]
             gates.append(Gate(kind, (control, target)))
         elif kind.startswith("R"):
             angle = draw(st.floats(-np.pi, np.pi))
@@ -29,7 +36,7 @@ def circuits(draw):
     return ParameterizedCircuit(n, tuple(gates), 0)
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(circuits())
 def test_engines_match_dense_oracles(c):
     psi = run_statevector(c).amplitudes

@@ -5,21 +5,22 @@ import numpy as np
 import pytest
 
 from vqesim.ansatz import Gate, ParameterizedCircuit, build_he
+from vqesim.pipeline import build_ansatz
 from vqesim.pauli import PauliSum, string_actions
 from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               Statevector, amplitude_damping_kraus,
-                              apply_gate_statevector, apply_idle_channel,
+                              apply_idle_channel,
                               dephasing_kraus, expectation_exact,
                               expectation_sampled, run_density_matrix,
                               run_statevector, sample_bitstrings,
                               schedule_circuit)
 from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
-                              _cached_cnot_index, _cnot_index,
+                              _apply_1q, _cached_cnot_index, _cnot_index,
                               _pauli_expectations)
 
-from oracles import (apply_kraus_full, circuit_unitary, embed_cnot,
-                     idle_kraus_full, noisy_density_matrix, pauli_matrix,
-                     pauli_sum_matrix)
+from oracles import (apply_kraus_full, circuit_unitary, embed_1q,
+                     embed_cnot, idle_kraus_full, noisy_density_matrix,
+                     pauli_matrix, pauli_sum_matrix, tensor_statevector)
 
 
 def bell_state():
@@ -67,6 +68,45 @@ def test_random_circuits_match_unitary_oracle():
         expected = circuit_unitary(c)[:, 0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["he_v3_12", "qucc_toy4"])
+def test_compiled_statevector_matches_tensor_oracle(kind, toy4_problem):
+    if kind == "he_v3_12":
+        c = build_he("v3", 12, 1)
+    else:
+        c, _ = build_ansatz("qucc", toy4_problem)
+    rng = np.random.default_rng(34)
+    for _ in range(2):
+        bound = c.bind(rng.uniform(-np.pi, np.pi, c.n_parameters))
+        np.testing.assert_allclose(run_statevector(bound).amplitudes,
+                                   tensor_statevector(bound),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_apply_1q_matches_embedded_gate_on_every_qubit(n):
+    rng = np.random.default_rng(35 + n)
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for q in range(n):
+        np.testing.assert_allclose(_apply_1q(psi, u, q),
+                                   embed_1q(u, q, n) @ psi,
+                                   rtol=0, atol=1e-12)
+
+
+def test_compiled_statevector_is_keyed_on_the_layout():
+    gates = (Gate("H", (0,)), Gate("RY", (1,), angle=0.7),
+             Gate("CNOT", (0, 1)), Gate("RX", (2,), angle=-1.1),
+             Gate("CNOT", (1, 2)), Gate("RZ", (0,), angle=0.4))
+    flipped = gates[:4] + (Gate("CNOT", (2, 1)),) + gates[5:]
+    moved = gates[:3] + (Gate("RX", (0,), angle=-1.1),) + gates[4:]
+    layouts = [ParameterizedCircuit(3, g, 0) for g in (gates, flipped, moved)]
+    for _ in range(2):   # alternately, so every program is reused
+        for c in layouts:
+            np.testing.assert_allclose(run_statevector(c).amplitudes,
+                                       tensor_statevector(c),
+                                       rtol=0, atol=1e-12)
 
 
 def test_run_rejects_unbound_and_oversize():
@@ -505,7 +545,7 @@ def test_cnot_permutation_matches_dense_oracle(n):
             if c == t:
                 continue
             u = embed_cnot(c, t, n)
-            got = apply_gate_statevector(psi, Gate("CNOT", (c, t)))
+            got = psi[_cnot_index(n, ((c, t),))]
             np.testing.assert_allclose(got, u @ psi, rtol=0, atol=1e-15)
             # rows are vector qubits q + n, columns q: one gather for both
             index = _cnot_index(2 * n, ((c + n, t + n), (c, t)))

@@ -201,6 +201,13 @@ def test_run_trials_jobs_parallel_matches_serial():
             == [r.best_energy for r in parallel.results])
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_trials_rejects_jobs_below_one(jobs):
+    cfg = VqeConfig(max_iterations=5, rng_seed=0)
+    with pytest.raises(VqeError, match="jobs must be >= 1"):
+        run_trials(ry_circuit(), Z1, 0.0, cfg, 2, jobs=jobs)
+
+
 def test_run_trials_distinct_seeds_give_spread():
     seeds = derive_trial_seeds(0, 10)
     assert len(set(seeds)) == 10
