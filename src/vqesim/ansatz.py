@@ -1,13 +1,15 @@
 """Parameterized circuits: hardware-efficient variants and Trotterized qUCC.
 
-A symbolic rotation angle is stored as (parameter index, scale); binding a
-parameter vector theta replaces it by scale * theta[index]. Hardware
-efficient layers use scale 1; the qUCC Pauli exponentials carry the
-2*coefficient scale of their generator terms.
+A symbolic rotation angle is stored as (parameter index, scale); under a
+parameter vector theta it is scale * theta[index] (``Gate.angle_at``), in
+the engines, which run the unbound circuit at theta, and in ``bind``.
+Hardware efficient layers use scale 1; the qUCC Pauli exponentials carry
+the 2*coefficient scale of their generator terms.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -33,28 +35,26 @@ class Gate:
     param: Optional[tuple[int, float]] = None   # (index, scale)
 
     def __post_init__(self):
+        if self.kind not in ROTATIONS + FIXED + ("CNOT",):
+            raise AnsatzError(f"unknown gate kind {self.kind!r}")
         if self.kind in ROTATIONS:
             if (self.angle is None) == (self.param is None):
                 raise AnsatzError(
                     f"{self.kind} needs exactly one of angle or param")
-            if len(self.qubits) != 1:
-                raise AnsatzError(f"{self.kind} acts on one qubit")
-        elif self.kind in FIXED:
-            if self.angle is not None or self.param is not None:
-                raise AnsatzError(f"{self.kind} carries no parameter")
-            if len(self.qubits) != 1:
-                raise AnsatzError(f"{self.kind} acts on one qubit")
-        elif self.kind == "CNOT":
-            if self.angle is not None or self.param is not None:
-                raise AnsatzError("CNOT carries no parameter")
+        elif self.angle is not None or self.param is not None:
+            raise AnsatzError(f"{self.kind} carries no parameter")
+        if self.kind == "CNOT":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise AnsatzError("CNOT needs distinct control and target")
-        else:
-            raise AnsatzError(f"unknown gate kind {self.kind!r}")
+        elif len(self.qubits) != 1:
+            raise AnsatzError(f"{self.kind} acts on one qubit")
 
-    @property
-    def is_bound(self) -> bool:
-        return self.param is None
+    def angle_at(self, theta: Sequence[float]) -> Optional[float]:
+        """The angle under theta: scale * theta[index] for a parameter."""
+        if self.param is None:
+            return self.angle
+        idx, scale = self.param
+        return scale * theta[idx]
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,24 @@ class ParameterizedCircuit:
 
     @property
     def is_bound(self) -> bool:
-        return all(g.is_bound for g in self.gates)
+        # every index is below n_parameters and used, so none means no param
+        return self.n_parameters == 0
+
+    @functools.cached_property
+    def layout(self) -> tuple:
+        """(kind, qubits) of every gate: the key of the compiled programs."""
+        return tuple((g.kind, g.qubits) for g in self.gates)
 
     def bind(self, theta: Sequence[float]) -> "ParameterizedCircuit":
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_parameters,):
             raise AnsatzError(
                 f"expected {self.n_parameters} parameters, got {theta.shape}")
-        gates = []
-        for g in self.gates:
-            if g.param is None:
-                gates.append(g)
-            else:
-                idx, scale = g.param
-                gates.append(Gate(g.kind, g.qubits,
-                                  angle=scale * float(theta[idx])))
-        return ParameterizedCircuit(self.n_qubits, tuple(gates), 0,
+        values = theta.tolist()
+        gates = tuple(g if g.param is None
+                      else Gate(g.kind, g.qubits, angle=g.angle_at(values))
+                      for g in self.gates)
+        return ParameterizedCircuit(self.n_qubits, gates, 0,
                                     dict(self.metadata))
 
     def serialize(self) -> str:
@@ -128,12 +130,9 @@ class ParameterizedCircuit:
             else:
                 q = int(parts[1])
                 tok = parts[2]
-                if tok.startswith("p"):
-                    if "*" in tok:
-                        p, s = tok[1:].split("*")
-                        gates.append(Gate(kind, (q,), param=(int(p), float(s))))
-                    else:
-                        gates.append(Gate(kind, (q,), param=(int(tok[1:]), 1.0)))
+                if tok.startswith("p"):   # p<idx> or p<idx>*<scale>
+                    p, _, s = tok[1:].partition("*")
+                    gates.append(Gate(kind, (q,), param=(int(p), float(s or 1.0))))
                 else:
                     gates.append(Gate(kind, (q,), angle=float(tok)))
         return cls(n_qubits, tuple(gates), n_parameters)

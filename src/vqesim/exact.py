@@ -10,6 +10,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .fermion import FermionOperator, jordan_wigner
@@ -37,12 +38,7 @@ class OneRdm:
 
 def _sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
     idx = np.arange(2 ** n_qubits)
-    counts = np.zeros_like(idx)
-    tmp = idx.copy()
-    for _ in range(n_qubits):
-        counts += tmp & 1
-        tmp >>= 1
-    return idx[counts == n_electrons]
+    return idx[np.bitwise_count(idx) == n_electrons]
 
 
 def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
@@ -51,8 +47,9 @@ def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
     """Lowest eigenpair of H restricted to the fixed particle-number sector.
 
     The sector matrix is ``h.basis_matrix`` on the sector's basis indices.
-    Dense Hermitian solve up to dense_cap qubits, Lanczos (ARPACK) above,
-    from a fixed seeded start vector so that repeated calls agree exactly.
+    Dense Hermitian solve for the lowest eigenpair only up to dense_cap
+    qubits, Lanczos (ARPACK) above, from a fixed seeded start vector so that
+    repeated calls agree exactly.
     """
     n = h.n_qubits
     if n > cap:
@@ -64,7 +61,7 @@ def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
     # ARPACK's complex Hermitian solver needs a sector of more than k + 1 = 2
     if n <= dense_cap or sector.size <= 2:
         mat = mat.toarray()   # frees the CSR before the dense solve
-        evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
     else:
         v0 = np.random.default_rng(0).standard_normal(sector.size)
         evals, evecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA",

@@ -80,10 +80,7 @@ def string_actions(letters: Iterable[str]
 
 def parity(x: np.ndarray) -> np.ndarray:
     """Elementwise popcount(x) mod 2 of a non-negative integer array."""
-    x = x.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return x & 1
+    return np.bitwise_count(x) & 1
 
 
 def multiply_letters(a: str, b: str) -> tuple[complex, str]:
@@ -308,10 +305,6 @@ class PauliSum:
             coeff_s, letters = line.split()
             terms[letters] = terms.get(letters, 0) + complex(coeff_s)
         return cls(n_qubits, terms)
-
-    @classmethod
-    def from_string(cls, s: PauliString, coeff: complex = 1.0) -> "PauliSum":
-        return cls(s.n_qubits, {s.letters: coeff * s.phase})
 
     def __repr__(self):
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self)})"

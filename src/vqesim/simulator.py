@@ -8,17 +8,21 @@ acts on rows and columns. Every other operator goes through the kernels
 superoperator, as is each idle interval's channel (amplitude damping, then
 pure dephasing). Gates follow ``schedule_circuit``.
 
+Both engines run a circuit at a parameter vector theta, never binding it:
+a rotation turns by ``Gate.angle_at(theta)``, as in ``bind``, so the state
+equals that of the bound circuit bit for bit.
+
 The statevector engine compiles all that does not depend on theta once
-per gate layout (``_statevector_program``). Every one-qubit gate that acts
-on a qubit before any CNOT touches it folds into a product state: one
-2-vector per qubit, joined by outer products. It covers the H/RY/RX
-prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC. After
-that, the one-qubit gates on a qubit between two of its CNOTs fuse into
-one 2x2 product, one ``_apply_1q`` call; each CNOT stays one gather. Per
-call only those 2x2 products are built, one gate matrix at a time.
-``_apply_1q`` multiplies rows of 2 * 2^q amplitudes by (u (x) I_{2^q})^T
-for low q and the stack of (2, 2^q) blocks by u above, whichever
-measured fastest.
+per gate layout (``ParameterizedCircuit.layout``, cached on the circuit;
+``_statevector_program``). Every one-qubit gate that acts on a qubit
+before any CNOT touches it folds into a product state: one 2-vector per
+qubit, joined by outer products. It covers the H/RY/RX prefix of the HE
+ansaetze and the Hartree-Fock X layer of qUCC. After that, the one-qubit
+gates on a qubit between two of its CNOTs fuse into one 2x2 product, one
+``_apply_1q`` call; each CNOT stays one gather. Per call only those 2x2
+products are built, one gate matrix at a time. ``_apply_1q`` multiplies
+rows of 2 * 2^q amplitudes by (u (x) I_{2^q})^T for low q and the stack
+of (2, 2^q) blocks by u above, whichever measured fastest.
 
 The noisy engine compiles all that does not depend on theta once per gate
 layout and NoiseModel (``_noisy_program``): the schedule order, the idle
@@ -35,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -71,12 +76,13 @@ class NoiseModel:
     durations_ns: dict = field(default_factory=lambda: dict(TABLE1_DURATIONS_NS))
 
     def __post_init__(self):
-        if self.t1_us <= 0 or self.t2_us <= 0:
-            raise SimulationError("T1 and T2 must be positive")
+        # NaN fails every comparison, so it is ruled out by name
+        if not all(math.isfinite(t) and t > 0 for t in
+                   (self.t1_us, self.t2_us, *self.durations_ns.values())):
+            raise SimulationError(
+                "T1, T2 and gate durations must be finite and positive")
         if self.t2_us > 2 * self.t1_us + 1e-12:
             raise SimulationError("unphysical times: T2 > 2*T1")
-        if any(d <= 0 for d in self.durations_ns.values()):
-            raise SimulationError("gate durations must be positive")
 
     @property
     def t2_prime_us(self) -> float:
@@ -143,10 +149,8 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 # gate matrices and application
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """2x2 matrix of a bound one-qubit gate."""
-    if not g.is_bound:
-        raise SimulationError(f"unbound parameter on gate {g.kind}")
+def gate_matrix(g: Gate, theta: Sequence[float] = ()) -> np.ndarray:
+    """2x2 matrix of a one-qubit gate; a rotation turns by g.angle_at(theta)."""
     k = g.kind
     if k == "H":
         return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -158,7 +162,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return np.array([[1, 0], [0, -1]], dtype=complex)
     if k not in ROTATIONS:
         raise SimulationError(f"no 2x2 matrix for gate kind {k!r}")
-    t = g.angle / 2.0
+    t = g.angle_at(theta) / 2.0
     if k == "RX":
         return np.array([[np.cos(t), -1j * np.sin(t)],
                          [-1j * np.sin(t), np.cos(t)]], dtype=complex)
@@ -263,38 +267,48 @@ def _statevector_program(n: int, layout: tuple) -> tuple:
     return tuple(map(tuple, prefix)), tuple(ops)
 
 
-def _fused(gates: tuple[Gate, ...], run: tuple[int, ...]) -> np.ndarray:
+def _fused(gates: tuple[Gate, ...], run: tuple[int, ...],
+           theta: list[float]) -> np.ndarray:
     """The 2x2 product of ``gates[i]`` for i in ``run``, first gate rightmost."""
     if not run:
         return np.eye(2, dtype=complex)
-    u = gate_matrix(gates[run[0]])
+    u = gate_matrix(gates[run[0]], theta)
     for i in run[1:]:
-        u = gate_matrix(gates[i]) @ u
+        u = gate_matrix(gates[i], theta) @ u
     return u
 
 
-def run_statevector(c: ParameterizedCircuit, cap: int = 24) -> Statevector:
-    """Apply a fully bound circuit to |0...0>.
+def _parameter_values(c: ParameterizedCircuit,
+                      theta: Sequence[float]) -> list[float]:
+    """theta as floats, one per parameter of c."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (c.n_parameters,):
+        raise SimulationError(
+            f"expected {c.n_parameters} parameters, got {theta.shape}")
+    return theta.tolist()
+
+
+def run_statevector(c: ParameterizedCircuit, theta: Sequence[float] = (),
+                    cap: int = 24) -> Statevector:
+    """Apply circuit c at parameters theta to |0...0>.
 
     Only the 2x2 products depend on theta; the rest is
     ``_statevector_program``, compiled once per gate layout.
     """
-    if not c.is_bound:
-        raise SimulationError("circuit has unbound parameters")
+    values = _parameter_values(c, theta)
     if c.n_qubits > cap:
         raise SimulationError(f"{c.n_qubits} qubits exceeds cap {cap}")
     n = c.n_qubits
-    prefix, ops = _statevector_program(
-        n, tuple((g.kind, g.qubits) for g in c.gates))
+    prefix, ops = _statevector_program(n, c.layout)
     psi = np.ones(1, dtype=complex)
     for q in reversed(range(n)):   # qubit 0 is the least significant bit
-        psi = np.multiply.outer(psi, _fused(c.gates, prefix[q])[:, 0])
+        psi = np.multiply.outer(psi, _fused(c.gates, prefix[q], values)[:, 0])
     psi = psi.reshape(-1)
     for q, run in ops:
         if q is None:
             psi = psi[_cnot_index(n, run)]
         else:
-            psi = _apply_1q(psi, _fused(c.gates, run), q)
+            psi = _apply_1q(psi, _fused(c.gates, run, values), q)
     return Statevector(n, psi)
 
 
@@ -412,7 +426,7 @@ class Schedule:
 
 def schedule_circuit(c: ParameterizedCircuit, nm: NoiseModel) -> Schedule:
     """Each gate starts at the max end-time of its qubits' previous gates."""
-    return _schedule(c.n_qubits, [(g.kind, g.qubits) for g in c.gates], nm)
+    return _schedule(c.n_qubits, c.layout, nm)
 
 
 def _schedule(n_qubits: int, layout, nm: NoiseModel) -> Schedule:
@@ -478,7 +492,7 @@ def _noisy_program(n: int, layout: tuple, t1_us: float, t2_us: float,
 
     Each op is (tag, q, arg): ("channel", q, S) applies the read-only 4x4
     superoperator S on vector qubits (q + n, q); ("rotation", q, i) the
-    superoperator of bound gate i; ("cnot", None, pairs) the gather
+    superoperator of rotation i under theta; ("cnot", None, pairs) the gather
     ``_cnot_index(2 n, pairs)`` on rows and columns at once. The arguments
     are the key: a NoiseModel holds a dict, so it is neither hashable nor
     fixed after construction. The tuple is shared by every caller.
@@ -509,27 +523,26 @@ def _noisy_program(n: int, layout: tuple, t1_us: float, t2_us: float,
 
 
 def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
+                       theta: Sequence[float] = (),
                        cap: int = 12) -> DensityMatrix:
-    """Noisy execution: ideal gates with decoherence applied to idle qubits.
+    """Noisy execution at theta: ideal gates, decoherence on idle qubits.
 
     Gates run in the order of ``schedule_circuit``; each of its idle
     intervals applies one idle channel, so that every qubit touched by a
     gate idles up to the global circuit end and measurement is simultaneous.
     """
-    if not c.is_bound:
-        raise SimulationError("circuit has unbound parameters")
+    values = _parameter_values(c, theta)
     if c.n_qubits > cap:
         raise SimulationError(f"{c.n_qubits} qubits exceeds cap {cap}")
     n = c.n_qubits
-    program = _noisy_program(
-        n, tuple((g.kind, g.qubits) for g in c.gates), nm.t1_us, nm.t2_us,
-        tuple(sorted(nm.durations_ns.items())))
+    program = _noisy_program(n, c.layout, nm.t1_us, nm.t2_us,
+                             tuple(sorted(nm.durations_ns.items())))
     v = Statevector.zero_state(2 * n).amplitudes
     for tag, q, arg in program:
         if tag == "cnot":
             v = v[_cnot_index(2 * n, arg)]
             continue
         if tag == "rotation":
-            arg = _superoperator([gate_matrix(c.gates[arg])])
+            arg = _superoperator([gate_matrix(c.gates[arg], values)])
         v = _apply_2q(v, arg, q + n, q)
     return DensityMatrix(n, v.reshape(2 ** n, 2 ** n))

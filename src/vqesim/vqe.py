@@ -134,7 +134,10 @@ def run_optimizer(objective: Callable[[np.ndarray], float],
 
 def make_energy_fn(c: ParameterizedCircuit, h: PauliSum, e_core: float,
                    cfg: VqeConfig):
-    """Objective E(theta) = e_core + <H> under the configured execution mode."""
+    """Objective E(theta) = e_core + <H> under the configured execution mode.
+
+    The engines run c at theta directly; no evaluation binds the circuit.
+    """
     if c.n_qubits != h.n_qubits:
         raise VqeError("circuit / Hamiltonian qubit-count mismatch")
     noisy = cfg.noise is not None
@@ -142,11 +145,10 @@ def make_energy_fn(c: ParameterizedCircuit, h: PauliSum, e_core: float,
         entropy=cfg.rng_seed, spawn_key=(1,)))
 
     def energy(theta: np.ndarray) -> float:
-        bound = c.bind(theta)
         if noisy:
-            state = run_density_matrix(bound, cfg.noise)
+            state = run_density_matrix(c, cfg.noise, theta)
         else:
-            state = run_statevector(bound)
+            state = run_statevector(c, theta)
         if cfg.n_shots > 0:
             seed = int(shot_rng.integers(0, 2 ** 63 - 1))
             val = expectation_sampled(state, h, cfg.n_shots, seed)
@@ -219,25 +221,18 @@ def run_trials(c: ParameterizedCircuit, h: PauliSum, e_core: float,
     seeds = derive_trial_seeds(cfg.rng_seed, n_trials)
     configs = [replace(cfg, rng_seed=s) for s in seeds]
 
-    def one(trial_cfg):
-        return minimize(c, h, e_core, trial_cfg)
+    def one(trial_cfg):   # (result, None) or (None, error)
+        try:
+            return minimize(c, h, e_core, trial_cfg), None
+        except Exception as exc:
+            return None, f"{type(exc).__name__}: {exc}"
 
-    results: list[Optional[VqeResult]] = [None] * n_trials
-    errors: list[Optional[str]] = [None] * n_trials
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(one, tc) for tc in configs]
-            for i, fut in enumerate(futures):
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    errors[i] = f"{type(exc).__name__}: {exc}"
+            outcomes = list(pool.map(one, configs))
     else:
-        for i, tc in enumerate(configs):
-            try:
-                results[i] = one(tc)
-            except Exception as exc:
-                errors[i] = f"{type(exc).__name__}: {exc}"
+        outcomes = [one(tc) for tc in configs]
+    results, errors = map(list, zip(*outcomes))
     energies = [r.best_energy for r in results if r is not None]
     return TrialEnsemble(results=results, errors=errors,
                          summary=summarize(energies))

@@ -42,6 +42,27 @@ def test_bind_replaces_all_parameters():
     assert rotations and all(g.angle == 0.0 for g in rotations)
 
 
+def test_is_bound_agrees_with_a_walk_over_the_gates(toy4_problem):
+    circuits = [build_he(v, n, d) for v in ("v1", "v2", "v3")
+                for n in (2, 4, 6) for d in (1, 2)]
+    circuits += [trotterize_qucc(build_qucc_generator(m))
+                 for m in (make_h2_like(), toy4_problem.integrals)]
+    rng = np.random.default_rng(67)
+    for c in circuits:
+        bound = c.bind(rng.uniform(-np.pi, np.pi, c.n_parameters))
+        for circuit in (c, bound):
+            walk = all(g.param is None for g in circuit.gates)
+            assert circuit.is_bound == walk
+        assert not c.is_bound and bound.is_bound
+
+
+def test_layout_is_cached_and_names_every_gate():
+    c = build_he("v3", 3, 1)
+    assert c.layout is c.layout
+    assert c.layout == tuple((g.kind, g.qubits) for g in c.gates)
+    assert c.bind(np.zeros(c.n_parameters)).layout == c.layout
+
+
 def test_bind_is_idempotent_and_checks_length():
     c = build_he("v1", 4, 1)
     theta = np.linspace(-1, 1, c.n_parameters)

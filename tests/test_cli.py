@@ -112,10 +112,12 @@ def test_invalid_count_is_validation_error(tmp_path, h2_path, capsys,
 @pytest.mark.parametrize("command, flag, value", [
     ("sweep-t1", "--t1-list", "-5"),
     ("sweep-t1", "--t1-list", ["100", "0"]),
+    ("sweep-t1", "--t1-list", "nan"),
     ("vqe", "--noise", "unphysical.json"),
     ("vqe", "--noise", "missing.json"),
     ("vqe", "--noise", "text_t1.json"),
     ("vqe", "--noise", "list.json"),
+    ("vqe", "--noise", "nan_cnot.json"),
 ])
 def test_invalid_noise_is_validation_error(tmp_path, h2_path, capsys,
                                            command, flag, value):
@@ -123,6 +125,8 @@ def test_invalid_noise_is_validation_error(tmp_path, h2_path, capsys,
     (tmp_path / "unphysical.json").write_text('{"t1_us": 10.0, "t2_us": 30.0}')
     (tmp_path / "text_t1.json").write_text('{"t1_us": "fifty"}')
     (tmp_path / "list.json").write_text('[50.0]')
+    # json reads a bare NaN; it would drop every idle channel
+    (tmp_path / "nan_cnot.json").write_text('{"durations_ns": {"CNOT": NaN}}')
     if flag == "--noise":
         value = str(tmp_path / value)
     out = tmp_path / "out"

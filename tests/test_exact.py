@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vqesim.exact import (OneRdm, ReferenceError, ground_state, noons_to_csv,
-                          one_rdm)
+from vqesim.exact import (OneRdm, ReferenceError, _sector_indices,
+                          ground_state, noons_to_csv, one_rdm)
 from vqesim.fermion import (MolecularIntegrals, build_hamiltonian,
                             jordan_wigner)
 from vqesim.pauli import PauliSum
@@ -158,3 +158,12 @@ def test_noons_csv_export():
     assert lines[0] == "distortion_parameter,noon_1,noon_2"
     assert lines[1].startswith("1.41,1.97,")
     assert noons_to_csv([]) == ""
+
+
+@pytest.mark.parametrize("n_qubits", [1, 4, 8, 12])
+def test_sector_indices_match_a_per_state_count(n_qubits):
+    for n_electrons in range(n_qubits + 1):
+        expected = [z for z in range(2 ** n_qubits)
+                    if bin(z).count("1") == n_electrons]
+        np.testing.assert_array_equal(
+            _sector_indices(n_qubits, n_electrons), expected)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vqesim.pauli import (LETTERS, PauliError, PauliString, PauliSum,
-                          multiply, multiply_letters, string_actions)
+                          multiply, multiply_letters, parity,
+                          string_actions)
 
 from oracles import pauli_matrix, pauli_sum_matrix
 
@@ -221,3 +222,11 @@ def test_scalar_multiplication():
     s = PauliSum(1, {"X": 2.0})
     assert (0.5 * s).terms == {"X": 1.0}
     assert (s * 0).terms == {}
+
+
+def test_parity_matches_a_per_bit_count():
+    rng = np.random.default_rng(68)
+    x = np.concatenate([np.arange(1 << 12),
+                        rng.integers(0, 2 ** 62, size=4096)])
+    expected = [bin(int(v)).count("1") % 2 for v in x]
+    np.testing.assert_array_equal(parity(x), expected)

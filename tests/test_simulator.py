@@ -109,6 +109,30 @@ def test_compiled_statevector_is_keyed_on_the_layout():
                                        rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("ansatz", ["he_v3", "qucc"])
+def test_engines_from_theta_equal_the_bound_run(toy4_problem, ansatz):
+    c, _ = build_ansatz(ansatz, toy4_problem, depth=1)
+    theta = np.random.default_rng(64).uniform(-np.pi, np.pi, c.n_parameters)
+    bound = c.bind(theta)
+    np.testing.assert_array_equal(run_statevector(c, theta).amplitudes,
+                                  run_statevector(bound).amplitudes)
+    nm = NoiseModel()   # table-1 noise
+    np.testing.assert_array_equal(run_density_matrix(c, nm, theta).rho,
+                                  run_density_matrix(bound, nm).rho)
+
+
+@pytest.mark.parametrize("length_delta", [-1, 1])
+def test_engines_reject_theta_of_the_wrong_length(length_delta):
+    c = build_he("v3", 3, 1)
+    theta = np.zeros(c.n_parameters + length_delta)
+    with pytest.raises(SimulationError, match="parameters"):
+        run_statevector(c, theta)
+    with pytest.raises(SimulationError, match="parameters"):
+        run_density_matrix(c, NoiseModel(), theta)
+    with pytest.raises(SimulationError, match="parameters"):
+        run_statevector(c.bind(np.zeros(c.n_parameters)), [0.0])
+
+
 def test_run_rejects_unbound_and_oversize():
     c = ParameterizedCircuit(1, (Gate("RY", (0,), param=(0, 1.0)),), 1)
     with pytest.raises(SimulationError):
@@ -350,6 +374,21 @@ def test_noise_model_physicality_check():
         NoiseModel(t1_us=10.0, t2_us=30.0)
     with pytest.raises(SimulationError):
         NoiseModel(t1_us=-1.0, t2_us=1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_noise_model_rejects_nan_and_inf(bad):
+    # NaN fails every comparison; infinite T1 and T2 would mean no noise
+    with pytest.raises(SimulationError, match="finite"):
+        NoiseModel(t1_us=bad, t2_us=1.0)
+    with pytest.raises(SimulationError, match="finite"):
+        NoiseModel(t1_us=1.0, t2_us=bad)
+    with pytest.raises(SimulationError, match="finite"):
+        NoiseModel(t1_us=bad, t2_us=bad)
+    for kind in ("CNOT", "RZ"):
+        durations = {**NoiseModel().durations_ns, kind: bad}
+        with pytest.raises(SimulationError, match="finite"):
+            NoiseModel(durations_ns=durations)
 
 
 def test_noise_model_json_round_trip():

@@ -3,7 +3,9 @@ import pytest
 
 from vqesim.ansatz import Gate, ParameterizedCircuit
 from vqesim.pauli import PauliSum
-from vqesim.simulator import NoiseModel
+from vqesim.pipeline import build_ansatz
+from vqesim.simulator import (NoiseModel, SimulationError, expectation_exact,
+                              run_density_matrix, run_statevector)
 from vqesim.vqe import (TrialEnsemble, VqeConfig, VqeError, VqeResult,
                         derive_trial_seeds, make_energy_fn, minimize,
                         run_optimizer, run_trials, summarize)
@@ -127,6 +129,51 @@ def test_minimize_respects_budget():
 def test_energy_fn_qubit_mismatch():
     with pytest.raises(VqeError):
         make_energy_fn(ry_circuit(), PauliSum(2, {"ZZ": 1.0}), 0.0, VqeConfig())
+
+
+@pytest.mark.parametrize("ansatz", ["he_v3", "qucc"])
+def test_energy_fn_equals_core_plus_the_bound_run(toy4_problem, ansatz):
+    c, _ = build_ansatz(ansatz, toy4_problem, depth=1)
+    h, e_core = toy4_problem.hamiltonian, toy4_problem.e_core
+    energy = make_energy_fn(c, h, e_core, VqeConfig())
+    rng = np.random.default_rng(65)
+    for _ in range(2):
+        theta = rng.uniform(-np.pi, np.pi, c.n_parameters)
+        assert energy(theta) == e_core + expectation_exact(
+            run_statevector(c.bind(theta)), h)
+
+
+def test_energy_fn_equals_core_plus_the_bound_noisy_run(h2_problem):
+    c, _ = build_ansatz("qucc", h2_problem, depth=1)
+    h, e_core = h2_problem.hamiltonian, h2_problem.e_core
+    nm = NoiseModel()
+    energy = make_energy_fn(c, h, e_core, VqeConfig(noise=nm))
+    theta = np.random.default_rng(66).uniform(-np.pi, np.pi, c.n_parameters)
+    assert energy(theta) == e_core + expectation_exact(
+        run_density_matrix(c.bind(theta), nm), h)
+
+
+@pytest.mark.parametrize("mode", ["noiseless", "noisy", "shots"])
+def test_minimize_never_binds(h2_problem, monkeypatch, mode):
+    c, _ = build_ansatz("he_v3", h2_problem, depth=1)
+
+    def forbidden(self, theta):
+        raise AssertionError("the energy loop bound the circuit")
+
+    monkeypatch.setattr(ParameterizedCircuit, "bind", forbidden)
+    cfg = VqeConfig(max_iterations=20, rng_seed=4,
+                    noise=NoiseModel() if mode == "noisy" else None,
+                    n_shots=256 if mode == "shots" else 0)
+    res = minimize(c, h2_problem.hamiltonian, h2_problem.e_core, cfg)
+    assert res.n_evaluations == 20
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel()])
+def test_energy_fn_rejects_theta_of_the_wrong_length(noise):
+    energy = make_energy_fn(ry_circuit(), Z1, 0.0, VqeConfig(noise=noise))
+    for theta in ([], [0.1, 0.2]):
+        with pytest.raises(SimulationError, match="parameters"):
+            energy(np.array(theta))
 
 
 def test_initial_guess_modes():
