@@ -57,6 +57,26 @@ class Gate:
         return scale * theta[idx]
 
 
+class Layout(tuple):
+    """A tuple that hashes itself once.
+
+    A plain tuple re-hashes every item on each ``hash()``, and a layout
+    keys the engines' compiled programs on every call.
+    """
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: hash again on unpickling
+        return type(self), (tuple(self),)
+
+
 @dataclass(frozen=True)
 class ParameterizedCircuit:
     n_qubits: int
@@ -87,7 +107,7 @@ class ParameterizedCircuit:
     @functools.cached_property
     def layout(self) -> tuple:
         """(kind, qubits) of every gate: the key of the compiled programs."""
-        return tuple((g.kind, g.qubits) for g in self.gates)
+        return Layout((g.kind, g.qubits) for g in self.gates)
 
     def bind(self, theta: Sequence[float]) -> "ParameterizedCircuit":
         theta = np.asarray(theta, dtype=float)

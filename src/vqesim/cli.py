@@ -28,7 +28,7 @@ from .exact import ground_state, one_rdm
 from .geometry import DISTORTIONS
 from .pipeline import Problem, build_ansatz, hf_energy, mp2_vector, prepare_problem
 from .simulator import NoiseModel
-from .vqe import VqeConfig, minimize, run_trials
+from .vqe import INITIAL_GUESSES, VqeConfig, run_trials
 
 
 class ValidationError(ValueError):
@@ -141,8 +141,18 @@ def _check_counts(args) -> None:
         raise ValidationError("--shots-list values must be >= 0")
 
 
+def _check_initial(args) -> None:
+    if args.initial not in INITIAL_GUESSES + ("mp2",):
+        raise ValidationError(
+            f"--initial must be one of {', '.join(INITIAL_GUESSES)} or mp2, "
+            f"got {args.initial!r}")
+    if args.initial == "mp2" and args.ansatz != "qucc":
+        raise ValidationError("MP2 initialization requires qucc")
+
+
 def _run_campaign(args) -> int:
     _check_counts(args)
+    _check_initial(args)
     # every point's noise model is built first, so bad noise input writes
     # nothing
     points = [(label, value, fcidump, sidecar, n_shots,
@@ -158,11 +168,8 @@ def _run_campaign(args) -> int:
         try:
             problem = _problem_from_args(args, fcidump=fcidump, sidecar=sidecar)
             circuit, gen = build_ansatz(args.ansatz, problem, depth=args.depth)
-            initial = args.initial
-            if initial == "mp2":
-                if gen is None:
-                    raise ValidationError("MP2 initialization requires qucc")
-                initial = mp2_vector(problem, gen)
+            initial = (mp2_vector(problem, gen) if args.initial == "mp2"
+                       else args.initial)
             cfg = VqeConfig(max_iterations=args.max_iter,
                             optimizer=args.optimizer, n_shots=n_shots,
                             noise=noise, initial_guess=initial,
@@ -184,8 +191,6 @@ def _run_campaign(args) -> int:
             rows.append([value, s.get("mean"), s.get("min"), s.get("q1"),
                          s.get("median"), s.get("q3"), s.get("max"),
                          reference, initial_energy])
-        except ValidationError:
-            raise
         except Exception as exc:
             failures.append({"point": label,
                              "error": f"{type(exc).__name__}: {exc}"})

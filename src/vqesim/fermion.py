@@ -4,6 +4,11 @@ Spin-orbitals are interleaved: spatial orbital p maps to spin-orbitals
 2p (alpha) and 2p+1 (beta). Two-body integrals are stored in chemists'
 notation (pq|rs) as read from FCIDUMP; the conversion to physicists'
 ordering happens when the second-quantized Hamiltonian is assembled.
+
+``jordan_wigner`` works on bit masks: a Pauli string on n <= 63 qubits is
+an (x mask, z mask, phase) triple, a product of strings is an XOR of masks
+with a popcount sign, and every term of the same length is expanded in one
+numpy pass.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pauli import PauliSum, multiply_letters
+from .pauli import _I_POWERS, PRUNE_TOL, PauliSum
 
 
 class IntegralError(ValueError):
@@ -362,31 +367,86 @@ def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     return FermionOperator.from_terms(n_so, terms)
 
 
-def _ladder_pauli(n_qubits: int, i: int, dagger: bool) -> PauliSum:
-    # a_i(+) -> (prod_{j<i} Z_j) (X_i -+ i Y_i)/2
-    prefix = "Z" * i
-    suffix = "I" * (n_qubits - i - 1)
-    x_term = prefix + "X" + suffix
-    y_term = prefix + "Y" + suffix
-    y_coeff = -0.5j if dagger else 0.5j
-    return PauliSum(n_qubits, {x_term: 0.5, y_term: y_coeff})
+# letter of one qubit from its (x bit, z bit): X^x Z^z with XZ = -iY
+_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
+
+
+def _ladder_strings(modes: np.ndarray, dagger: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two strings of each ladder operator, as arrays of shape (..., 2).
+
+    a_i(+) = 1/2 (X_i -+ i Y_i) Z_{<i} = 1/2 (X_i Z_{<i} +- X_i Z_{<=i}),
+    since Y = i X Z. A string (x, z, k) stands for i^k X^x Z^z, and the
+    common factor 1/2 is left to the caller.
+    """
+    bit = 1 << modes
+    below = bit - 1
+    x = np.stack([bit, bit], axis=-1)
+    z = np.stack([below, below | bit], axis=-1)
+    k = np.stack([np.zeros_like(modes), np.where(dagger, 0, 2)], axis=-1)
+    return x, z, k
+
+
+def _expand(coeffs: np.ndarray, modes: np.ndarray, dagger: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, value) of every string of T terms of L ladder operators each.
+
+    ``modes`` and ``dagger`` have shape (T, L); each term becomes its 2^L
+    strings, multiplied left to right:
+    (i^k1 X^x1 Z^z1)(i^k2 X^x2 Z^z2) = i^(k1+k2) (-1)^popcount(z1 & x2)
+    X^(x1^x2) Z^(z1^z2).
+    """
+    n_terms, length = modes.shape
+    x = np.zeros((n_terms, 1), dtype=np.int64)
+    z = np.zeros((n_terms, 1), dtype=np.int64)
+    k = np.zeros((n_terms, 1), dtype=np.int64)
+    lx, lz, lk = _ladder_strings(modes, dagger)
+    for j in range(length):
+        ox, oz = lx[:, None, j], lz[:, None, j]
+        sign = 2 * np.bitwise_count(z[:, :, None] & ox)
+        k = (k[:, :, None] + lk[:, None, j] + sign).reshape(n_terms, -1)
+        x = (x[:, :, None] ^ ox).reshape(n_terms, -1)
+        z = (z[:, :, None] ^ oz).reshape(n_terms, -1)
+    # each X Z on one qubit is -i Y
+    k = k - np.bitwise_count(x & z)
+    values = (coeffs * 0.5 ** length)[:, None] * _I_POWERS[k % 4]
+    return x.ravel(), z.ravel(), values.ravel()
 
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
-    """Map a FermionOperator to a PauliSum on n_modes qubits."""
+    """Map a FermionOperator to a PauliSum on n_modes qubits.
+
+    One vectorised pass: the terms are grouped by length, every term of
+    length L expands at once into its 2^L strings as bit masks, equal
+    strings are summed, and the PauliSum is built once from the result.
+    """
     n = f.n_modes
-    total: dict[str, complex] = {}
-    cache: dict[tuple[int, bool], PauliSum] = {}
+    if n > 63:
+        raise IntegralError(f"{n} modes do not fit a 64-bit mask")
+    groups: dict[int, list] = {}
     for coeff, ops in f.terms:
-        if not ops:
-            key = "I" * n
-            total[key] = total.get(key, 0) + coeff
-            continue
-        prod = None
-        for op in ops:
-            if op not in cache:
-                cache[op] = _ladder_pauli(n, op[0], op[1])
-            prod = cache[op] if prod is None else prod * cache[op]
-        for letters, c in prod.items():
-            total[letters] = total.get(letters, 0) + coeff * c
-    return PauliSum(n, total)
+        groups.setdefault(len(ops), []).append((coeff, ops))
+    if not groups:
+        return PauliSum(n)
+    parts = []
+    for length, group in groups.items():
+        coeffs = np.array([c for c, _ in group], dtype=complex)
+        ops = np.array([o for _, o in group], dtype=np.int64).reshape(
+            len(group), length, 2)
+        parts.append(_expand(coeffs, ops[..., 0], ops[..., 1]))
+    x, z, values = (np.concatenate(a) for a in zip(*parts))
+    # equal strings share a key: the pair of ranks of their x and z masks
+    xs, x_rank = np.unique(x, return_inverse=True)
+    zs, z_rank = np.unique(z, return_inverse=True)
+    keys, where = np.unique(x_rank * len(zs) + z_rank, return_inverse=True)
+    total = np.zeros(len(keys), dtype=complex)
+    np.add.at(total, where, values)
+    keep = np.abs(total) > PRUNE_TOL      # most cancel, as XY - YX does
+    keys, total = keys[keep], total[keep]
+    shifts = np.arange(n)
+    x_bits = (xs[keys // len(zs), None] >> shifts) & 1
+    z_bits = (zs[keys % len(zs), None] >> shifts) & 1
+    codes = _LETTER_CODES[x_bits + 2 * z_bits]
+    text = codes.tobytes().decode("ascii")
+    letters = [text[i:i + n] for i in range(0, len(text), n)]
+    return PauliSum(n, dict(zip(letters, total.tolist())))

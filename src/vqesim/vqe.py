@@ -159,17 +159,21 @@ def make_energy_fn(c: ParameterizedCircuit, h: PauliSum, e_core: float,
     return energy
 
 
+# the named initial guesses; any other guess is a vector of parameters
+INITIAL_GUESSES = ("zeros", "random")
+
+
 def _initial_theta(cfg: VqeConfig, n_parameters: int) -> np.ndarray:
     guess = cfg.initial_guess
     if isinstance(guess, str):
+        if guess not in INITIAL_GUESSES:
+            raise VqeError(f"unknown initial guess {guess!r}")
         if guess == "zeros":
             return np.zeros(n_parameters)
-        if guess in ("random", "random_uniform"):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=cfg.rng_seed, spawn_key=(0,)))
-            # uniform on (-pi, pi]
-            return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=n_parameters)
-        raise VqeError(f"unknown initial guess {guess!r}")
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=cfg.rng_seed, spawn_key=(0,)))
+        # uniform on (-pi, pi]
+        return np.pi - rng.uniform(0.0, 2.0 * np.pi, size=n_parameters)
     theta = np.asarray(guess, dtype=float)
     if theta.shape != (n_parameters,):
         raise VqeError(f"initial guess length {theta.shape} does not match "

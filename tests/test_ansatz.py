@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from vqesim.ansatz import (AnsatzError, Gate, ParameterizedCircuit,
+from vqesim.ansatz import (AnsatzError, Gate, Layout, ParameterizedCircuit,
                            QuccAmplitudes, build_he, build_qucc_generator,
                            enumerate_excitations, he_parameter_count,
                            mp2_initial_amplitudes, trotterize_qucc)
@@ -61,6 +63,17 @@ def test_layout_is_cached_and_names_every_gate():
     assert c.layout is c.layout
     assert c.layout == tuple((g.kind, g.qubits) for g in c.gates)
     assert c.bind(np.zeros(c.n_parameters)).layout == c.layout
+
+
+def test_layout_hash_is_recomputed_on_unpickling():
+    layout = build_he("v3", 3, 1).layout
+    assert hash(layout) == hash(tuple(layout))
+    # a hash carried over from another process (string hashes are salted
+    # per process) must not survive the round trip
+    stale = Layout(layout)
+    stale._hash += 1
+    copy = pickle.loads(pickle.dumps(stale))
+    assert copy == layout and hash(copy) == hash(tuple(layout))
 
 
 def test_bind_is_idempotent_and_checks_length():

@@ -153,6 +153,19 @@ def test_vqe_mp2_requires_qucc(tmp_path, h2_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("initial, ansatz", [
+    ("foo", "he_v2"),
+    ("mp2", "he_v1"),
+])
+def test_invalid_initial_writes_nothing(tmp_path, h2_path, capsys, initial,
+                                        ansatz):
+    out = tmp_path / "out"
+    argv = vqe_args(h2_path, out, **{"--initial": initial, "--ansatz": ansatz})
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_campaign_determinism(tmp_path, h2_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     argv = vqe_args(h2_path, d1)

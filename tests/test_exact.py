@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vqesim.exact import (OneRdm, ReferenceError, _sector_indices,
                           ground_state, noons_to_csv, one_rdm)
-from vqesim.fermion import (MolecularIntegrals, build_hamiltonian,
-                            jordan_wigner)
+from vqesim.fermion import (FermionOperator, MolecularIntegrals,
+                            build_hamiltonian, jordan_wigner)
 from vqesim.pauli import PauliSum
 from vqesim.simulator import Statevector
 
@@ -68,6 +69,37 @@ def test_sparse_path_matches_dense(h2_problem, toy4_problem):
         overlap = np.vdot(dense.ground_state.amplitudes,
                           runs[0].ground_state.amplitudes)
         assert abs(abs(overlap) - 1.0) < 1e-9
+
+
+def test_real_dense_solve_matches_the_complex_solve(h2_problem,
+                                                    toy4_problem):
+    for p in (h2_problem, toy4_problem):
+        sector = _sector_indices(p.hamiltonian.n_qubits, p.n_electrons)
+        mat = p.hamiltonian.basis_matrix(sector)
+        assert not mat.data.imag.any()     # so the real solve is taken
+        evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
+        res = ground_state(p.hamiltonian, p.n_electrons)
+        assert abs(res.ground_energy - evals[0]) <= 1e-12
+        overlap = np.vdot(evecs[:, 0], res.ground_state.amplitudes[sector])
+        assert abs(overlap) >= 1 - 1e-10
+
+
+def test_complex_sector_keeps_the_complex_solve():
+    # hoppings with complex amplitudes give a sector matrix with imaginary
+    # entries; a real solve of it would be wrong
+    terms = [(0.7 * np.exp(1j * phi), ((p, True), (q, False)))
+             for p, q, phi in ((0, 1, 0.4), (1, 2, 1.3), (0, 3, -2.1),
+                               (2, 3, 0.9))]
+    terms += [(0.3 * (i + 1), ((i, True), (i, False))) for i in range(4)]
+    terms += [(0.5, ((0, True), (2, True), (2, False), (0, False)))]
+    op = FermionOperator.from_terms(4, terms)
+    h = jordan_wigner(op + op.dagger())
+    for n_electrons in (1, 2):
+        sector = _sector_indices(4, n_electrons)
+        assert h.basis_matrix(sector).data.imag.any()
+        block = h.to_matrix()[np.ix_(sector, sector)]
+        res = ground_state(h, n_electrons)
+        assert abs(res.ground_energy - np.linalg.eigvalsh(block)[0]) <= 1e-12
 
 
 def test_empty_sector_and_cap_errors():

@@ -352,6 +352,26 @@ def test_jw_matches_ladder_oracle_on_random_operators():
             fermion_matrix(op), atol=1e-12)
 
 
+def test_jw_repeated_ladder_operator_vanishes():
+    # a_i a_i = a+_i a+_i = 0: every string cancels and is pruned
+    for i in range(4):
+        for dagger in (False, True):
+            op = FermionOperator.from_terms(
+                4, [(1.3 - 0.2j, ((1, True), (i, dagger), (i, dagger)))])
+            assert jordan_wigner(op).terms == {}
+
+
+def test_jw_rejects_modes_beyond_a_64_bit_mask():
+    with pytest.raises(IntegralError):
+        jordan_wigner(FermionOperator.from_terms(64, [(1.0, ((63, True),))]))
+
+
+def test_jw_toy4_hamiltonian_matches_ladder_oracle(toy4_problem):
+    ham = build_hamiltonian(toy4_problem.integrals)
+    np.testing.assert_allclose(jordan_wigner(ham).to_matrix(),
+                               fermion_matrix(ham), rtol=0, atol=1e-12)
+
+
 def test_jw_hermitian_hamiltonian_real_coefficients():
     m = make_integrals(2, 2, seed=17)
     jw = jordan_wigner(build_hamiltonian(m))

@@ -1,12 +1,14 @@
-"""Property tests: both engines against the dense oracles on drawn circuits."""
+"""Property tests: both engines and the Jordan-Wigner map against the dense
+oracles on drawn inputs."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from vqesim.ansatz import Gate, ParameterizedCircuit
+from vqesim.fermion import FermionOperator, jordan_wigner
 from vqesim.simulator import NoiseModel, run_density_matrix, run_statevector
 
-from oracles import circuit_unitary, noisy_density_matrix
+from oracles import circuit_unitary, fermion_matrix, noisy_density_matrix
 
 ONE_QUBIT = ("H", "X", "Y", "Z", "RX", "RY", "RZ")
 
@@ -46,3 +48,25 @@ def test_engines_match_dense_oracles(c):
     expected = noisy_density_matrix(c, nm.t1_us, nm.t2_us, nm.durations_ns)
     np.testing.assert_allclose(run_density_matrix(c, nm).rho, expected,
                                rtol=0, atol=1e-12)
+
+
+@st.composite
+def fermion_operators(draw):
+    """Up to 6 terms of 0-5 ladder operators on 1-6 modes, with complex
+    coefficients. Modes repeat often, so terms such as a_i a_i (which must
+    vanish) and a+_i a_i are common."""
+    n = draw(st.integers(1, 6))
+    ladder = st.tuples(st.integers(0, n - 1), st.booleans())
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                               allow_infinity=False)
+    terms = draw(st.lists(
+        st.tuples(coeff, st.lists(ladder, max_size=5).map(tuple)),
+        max_size=6))
+    return FermionOperator.from_terms(n, terms)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(fermion_operators())
+def test_jordan_wigner_matches_ladder_oracle(op):
+    np.testing.assert_allclose(jordan_wigner(op).to_matrix(),
+                               fermion_matrix(op), rtol=0, atol=1e-12)
