@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fermion import FermionOperator, IntegralError, MolecularIntegrals, jordan_wigner
-from .pauli import PauliSum
+from .pauli import HERMITIAN_TOL, PRUNE_TOL, PauliSum
 
 ROTATIONS = ("RX", "RY", "RZ")
 FIXED = ("H", "X", "Y", "Z")
+DEGENERACY_TOL = 1e-10     # |MP2 denominator| whose amplitude is set to 0
 
 
 class AnsatzError(ValueError):
@@ -85,6 +86,8 @@ class ParameterizedCircuit:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if self.n_parameters < 0:
+            raise AnsatzError("n_parameters must be >= 0")
         used = set()
         for g in self.gates:
             for q in g.qubits:
@@ -325,8 +328,8 @@ class QuccAmplitudes:
 
 
 def mp2_initial_amplitudes(m: MolecularIntegrals,
-                           n_active_electrons: Optional[int] = None,
-                           degeneracy_tol: float = 1e-10) -> QuccAmplitudes:
+                           n_active_electrons: Optional[int] = None
+                           ) -> QuccAmplitudes:
     """Moller-Plesset second-order amplitudes as the qUCC starting point.
 
     Singles vanish. A double (p, q, r, s) gets
@@ -353,8 +356,8 @@ def mp2_initial_amplitudes(m: MolecularIntegrals,
             exchange = g[ps, rs, qs, ss]
         numer = direct - exchange
         denom = eps[rs] + eps[ss] - eps[ps] - eps[qs]
-        if abs(denom) < degeneracy_tol:
-            if abs(numer) > 1e-14:
+        if abs(denom) < DEGENERACY_TOL:
+            if abs(numer) > PRUNE_TOL:
                 warnings.warn(
                     f"degenerate MP2 denominator for excitation {(p, q, r, s)}; "
                     "amplitude set to 0")
@@ -384,26 +387,23 @@ def _pauli_exponential_gates(letters: str, param_index: int,
     return basis_in + chain + [rz] + list(reversed(chain)) + list(reversed(basis_out))
 
 
-def trotterize_qucc(gen: QuccGenerator, order: int = 1,
-                    hermiticity_tol: float = 1e-10) -> ParameterizedCircuit:
+def trotterize_qucc(gen: QuccGenerator) -> ParameterizedCircuit:
     """First-order Trotter circuit for exp(T(theta)) after the HF layer.
 
     Every excitation operator is mapped through Jordan-Wigner; each of its
     Pauli strings i*c*P (c real) becomes one staircase exponential whose RZ
     angle is linear in the excitation's parameter.
     """
-    if order != 1:
-        raise AnsatzError("only first-order Trotterization is supported")
     gates: list[Gate] = [Gate("X", (q,)) for q in range(gen.n_active_electrons)]
     for k, op in enumerate(gen.operators):
         # anti-Hermitian fermionic input <=> purely imaginary JW coefficients
         jw = jordan_wigner(op)
         for letters, coeff in jw.sorted_items():
-            if abs(coeff.real) > hermiticity_tol:
+            if abs(coeff.real) > HERMITIAN_TOL:
                 raise AnsatzError(
                     "anti-Hermitian generator produced a real Pauli coefficient")
             gamma = coeff.imag
-            if abs(gamma) <= 1e-14:
+            if abs(gamma) <= PRUNE_TOL:
                 continue
             # exp(theta_k * i*gamma*P) = exp(-i * (-gamma*theta_k) * P)
             gates.extend(_pauli_exponential_gates(letters, k, -2.0 * gamma))

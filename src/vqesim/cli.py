@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .exact import ground_state, one_rdm
+from .exact import MAX_QUBITS, ground_state, one_rdm
 from .geometry import DISTORTIONS
 from .pipeline import Problem, build_ansatz, hf_energy, mp2_vector, prepare_problem
 from .simulator import NoiseModel
@@ -70,9 +70,9 @@ def cmd_exact(args) -> int:
         raise ValidationError("exact takes a single FCIDUMP file")
     problem = _problem_from_args(args, fcidump=args.fcidump[0])
     n_qubits = problem.n_qubits
-    if n_qubits > 16:
-        raise ValidationError(
-            f"active space needs {n_qubits} qubits, above the 16-qubit cap")
+    if n_qubits > MAX_QUBITS:
+        raise ValidationError(f"active space needs {n_qubits} qubits, above "
+                              f"the {MAX_QUBITS}-qubit cap")
     result = ground_state(problem.hamiltonian, problem.n_electrons,
                           problem.e_core)
     rdm = one_rdm(result.ground_state, problem.integrals.n_orbitals)
@@ -180,7 +180,7 @@ def _run_campaign(args) -> int:
             reference = (ground_state(problem.hamiltonian,
                                       problem.n_electrons,
                                       problem.e_core).ground_energy
-                         if problem.n_qubits <= 16 else None)
+                         if problem.n_qubits <= MAX_QUBITS else None)
             initial_energy = hf_energy(problem)
             point = ensemble.to_json_dict(include_trace=args.save_traces)
             point["sweep_value"] = value

@@ -4,7 +4,7 @@ The sector Hamiltonian comes from the compiled form of the PauliSum
 (``PauliSum.basis_matrix`` on the sector's basis indices). Up to 12 qubits
 it is solved densely, in real arithmetic when no entry has an imaginary
 part (as for every real-integral molecular Hamiltonian); above, by
-complex Lanczos.
+complex Lanczos. The CLI reads the limit ``MAX_QUBITS`` of a reference.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import scipy.sparse.linalg
 from .fermion import FermionOperator, jordan_wigner
 from .pauli import PauliSum
 from .simulator import Statevector, expectation_exact
+
+MAX_QUBITS = 16            # largest qubit count of a reference
+LANCZOS_TOL = 1e-10        # relative accuracy of ARPACK's eigenvalue
 
 
 class ReferenceError(ValueError):
@@ -45,8 +48,7 @@ def _sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
 
 
 def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
-                 dense_cap: int = 12, cap: int = 16,
-                 tol: float = 1e-10) -> SpectrumResult:
+                 dense_cap: int = 12) -> SpectrumResult:
     """Lowest eigenpair of H restricted to the fixed particle-number sector.
 
     The sector matrix is ``h.basis_matrix`` on the sector's basis indices.
@@ -56,8 +58,8 @@ def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
     repeated calls agree exactly.
     """
     n = h.n_qubits
-    if n > cap:
-        raise ReferenceError(f"{n} qubits exceeds cap {cap}")
+    if n > MAX_QUBITS:
+        raise ReferenceError(f"{n} qubits exceeds cap {MAX_QUBITS}")
     if not 0 <= n_electrons <= n:
         raise ReferenceError(f"empty sector: {n_electrons} electrons on {n} qubits")
     sector = _sector_indices(n, n_electrons)
@@ -72,7 +74,7 @@ def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
     else:
         v0 = np.random.default_rng(0).standard_normal(sector.size)
         evals, evecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA",
-                                                 tol=tol, v0=v0)
+                                                 tol=LANCZOS_TOL, v0=v0)
     energy, vec = float(evals[0]), evecs[:, 0]
     full = np.zeros(2 ** n, dtype=complex)
     full[sector] = vec

@@ -23,6 +23,9 @@ import numpy as np
 
 from .pauli import _I_POWERS, PRUNE_TOL, PauliSum
 
+SYMMETRY_TOL = 1e-10       # atol of the symmetry checks in validate
+FCIDUMP_WRITE_TOL = 1e-15  # |integral| that write_fcidump leaves out
+
 
 class IntegralError(ValueError):
     pass
@@ -37,11 +40,10 @@ class MolecularIntegrals:
     e_core: float
     h_one: np.ndarray
     h_two: np.ndarray                  # chemists' (pq|rs)
-    two_body_convention: str = "chemist"
     orbital_energies: Optional[np.ndarray] = None
     noons: Optional[np.ndarray] = None
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         n = self.n_orbitals
         if self.h_one.shape != (n, n):
             raise IntegralError("h_one has wrong shape")
@@ -49,16 +51,13 @@ class MolecularIntegrals:
             raise IntegralError("h_two has wrong shape")
         if self.n_electrons > 2 * n:
             raise IntegralError("more electrons than spin-orbitals")
-        if not np.allclose(self.h_one, self.h_one.T, atol=tol):
+        if not np.allclose(self.h_one, self.h_one.T, atol=SYMMETRY_TOL):
             raise IntegralError("h_one is not symmetric")
         g = self.h_two
-        if self.two_body_convention != "chemist":
-            raise IntegralError(
-                f"unsupported convention {self.two_body_convention!r}")
         # 8-fold permutational symmetry of real chemists' integrals
         for perm in (g.transpose(1, 0, 2, 3), g.transpose(0, 1, 3, 2),
                      g.transpose(2, 3, 0, 1)):
-            if not np.allclose(g, perm, atol=tol):
+            if not np.allclose(g, perm, atol=SYMMETRY_TOL):
                 raise IntegralError("h_two violates 8-fold symmetry")
         if self.noons is not None:
             if abs(float(np.sum(self.noons)) - self.n_electrons) > 1e-6:
@@ -74,8 +73,10 @@ class ActiveSpace:
     n_active_electrons: int
 
     def __post_init__(self):
-        if set(self.active) & set(self.occupied_frozen):
-            raise IntegralError("active and frozen sets overlap")
+        orbitals = list(self.active) + list(self.occupied_frozen)
+        if len(set(orbitals)) != len(orbitals):
+            raise IntegralError("an orbital repeats in or across the active "
+                                "and frozen sets")
         if self.n_active_electrons < 0:
             raise IntegralError("negative active electron count")
 
@@ -171,7 +172,7 @@ def _eightfold(p, q, r, s):
             (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)}
 
 
-def write_fcidump(m: MolecularIntegrals, tol: float = 1e-15) -> str:
+def write_fcidump(m: MolecularIntegrals) -> str:
     """Serialize integrals to FCIDUMP text (inverse of parse_fcidump)."""
     n = m.n_orbitals
     out = [f" &FCI NORB={n},NELEC={m.n_electrons},MS2=0,", " &END"]
@@ -182,11 +183,11 @@ def write_fcidump(m: MolecularIntegrals, tol: float = 1e-15) -> str:
                 smax = q if r == p else r
                 for s in range(smax + 1):
                     v = m.h_two[p, q, r, s]
-                    if abs(v) > tol:
+                    if abs(v) > FCIDUMP_WRITE_TOL:
                         out.append(fmt.format(v, p + 1, q + 1, r + 1, s + 1))
     for p in range(n):
         for q in range(p + 1):
-            if abs(m.h_one[p, q]) > tol:
+            if abs(m.h_one[p, q]) > FCIDUMP_WRITE_TOL:
                 out.append(fmt.format(m.h_one[p, q], p + 1, q + 1, 0, 0))
     if m.orbital_energies is not None:
         for p in range(n):
@@ -195,13 +196,10 @@ def write_fcidump(m: MolecularIntegrals, tol: float = 1e-15) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_sidecar(path_or_text: str, is_text: bool = False) -> dict:
+def load_sidecar(path: str) -> dict:
     """Load the sidecar JSON carrying `noons` and/or `orbital_energies`."""
-    if is_text:
-        data = json.loads(path_or_text)
-    else:
-        with open(path_or_text) as fh:
-            data = json.load(fh)
+    with open(path) as fh:
+        data = json.load(fh)
     out = {}
     if "noons" in data:
         out["noons"] = np.asarray(data["noons"], dtype=float)
@@ -305,7 +303,7 @@ class FermionOperator:
     @classmethod
     def from_terms(cls, n_modes: int, terms: Iterable) -> "FermionOperator":
         kept = tuple((complex(c), tuple((int(i), bool(d)) for i, d in ops))
-                     for c, ops in terms if abs(complex(c)) > 1e-14)
+                     for c, ops in terms if abs(complex(c)) > PRUNE_TOL)
         return cls(n_modes, kept)
 
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
@@ -344,7 +342,7 @@ def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     for p in range(n):
         for q in range(n):
             c = m.h_one[p, q]
-            if abs(c) < 1e-14:
+            if abs(c) < PRUNE_TOL:
                 continue
             for sp in (0, 1):
                 terms.append((c, ((2 * p + sp, True), (2 * q + sp, False))))
@@ -354,7 +352,7 @@ def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
             for r in range(n):
                 for s in range(n):
                     c = 0.5 * g[p, q, r, s]
-                    if abs(c) < 1e-14:
+                    if abs(c) < PRUNE_TOL:
                         continue
                     for sp in (0, 1):
                         for st in (0, 1):

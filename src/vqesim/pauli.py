@@ -21,7 +21,8 @@ from typing import Dict, Iterable, Mapping
 import numpy as np
 import scipy.sparse
 
-PRUNE_TOL = 1e-14
+PRUNE_TOL = 1e-14          # |coefficient| that counts as zero, package-wide
+MAX_DENSE_QUBITS = 16      # largest n of PauliSum.to_matrix
 
 LETTERS = "IXYZ"
 
@@ -134,7 +135,7 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
 class PauliSum:
     """Weighted sum of Pauli strings, keyed by the letter string.
 
-    Terms with |coefficient| <= 1e-14 are dropped on construction and
+    Terms with |coefficient| <= PRUNE_TOL are dropped on construction and
     after every arithmetic operation. Instances are treated as immutable,
     which is what lets them cache their compiled sparse matrix.
     """
@@ -274,11 +275,11 @@ class PauliSum:
             self._sparse = self.basis_matrix(np.arange(2 ** self.n_qubits))
         return self._sparse
 
-    def to_matrix(self, cap: int = 16) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of the sum. Intended as oracle support."""
-        if self.n_qubits > cap:
-            raise PauliError(
-                f"n_qubits={self.n_qubits} exceeds dense cap {cap}")
+        if self.n_qubits > MAX_DENSE_QUBITS:
+            raise PauliError(f"n_qubits={self.n_qubits} exceeds dense cap "
+                             f"{MAX_DENSE_QUBITS}")
         dim = 2 ** self.n_qubits
         out = np.zeros((dim, dim), dtype=complex)
         for letters, coeff in self._terms.items():

@@ -32,7 +32,8 @@ at most ``_INDEX_CACHE_MAX_LEN`` entries, in at most ``_INDEX_CACHE_BYTES``.
 
 Expectation values read the Hamiltonian's compiled form
 (``PauliSum.sparse_matrix`` and ``string_table``), exact and sampled alike
-with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``.
+with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``. The engines run at
+most ``MAX_STATEVECTOR_QUBITS`` and ``MAX_DENSITY_MATRIX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class SimulationError(ValueError):
     pass
 
 
+MAX_STATEVECTOR_QUBITS = 24
+MAX_DENSITY_MATRIX_QUBITS = 12
 TABLE1_T1_US = 50.0
 TABLE1_T2_US = 50.0
 TABLE1_DURATIONS_NS = {
@@ -119,9 +122,6 @@ class Statevector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2 ** self.n_qubits,):
             raise SimulationError("amplitude vector has wrong length")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     @classmethod
     def zero_state(cls, n_qubits: int) -> "Statevector":
@@ -278,26 +278,26 @@ def _fused(gates: tuple[Gate, ...], run: tuple[int, ...],
     return u
 
 
-def _parameter_values(c: ParameterizedCircuit,
-                      theta: Sequence[float]) -> list[float]:
-    """theta as floats, one per parameter of c."""
+def _parameter_values(c: ParameterizedCircuit, theta: Sequence[float],
+                      max_qubits: int) -> list[float]:
+    """theta as floats, one per parameter of c, if c has <= max_qubits."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n_parameters,):
         raise SimulationError(
             f"expected {c.n_parameters} parameters, got {theta.shape}")
+    if c.n_qubits > max_qubits:
+        raise SimulationError(f"{c.n_qubits} qubits exceeds cap {max_qubits}")
     return theta.tolist()
 
 
-def run_statevector(c: ParameterizedCircuit, theta: Sequence[float] = (),
-                    cap: int = 24) -> Statevector:
+def run_statevector(c: ParameterizedCircuit,
+                    theta: Sequence[float] = ()) -> Statevector:
     """Apply circuit c at parameters theta to |0...0>.
 
     Only the 2x2 products depend on theta; the rest is
     ``_statevector_program``, compiled once per gate layout.
     """
-    values = _parameter_values(c, theta)
-    if c.n_qubits > cap:
-        raise SimulationError(f"{c.n_qubits} qubits exceeds cap {cap}")
+    values = _parameter_values(c, theta, MAX_STATEVECTOR_QUBITS)
     n = c.n_qubits
     prefix, ops = _statevector_program(n, c.layout)
     psi = np.ones(1, dtype=complex)
@@ -315,8 +315,8 @@ def run_statevector(c: ParameterizedCircuit, theta: Sequence[float] = (),
 # ---------------------------------------------------------------------------
 # expectation values
 
-def expectation_exact(state: Union[Statevector, DensityMatrix], h: PauliSum,
-                      hermitian_tol: float = HERMITIAN_TOL) -> float:
+def expectation_exact(state: Union[Statevector, DensityMatrix],
+                      h: PauliSum) -> float:
     """<H> from the Hamiltonian's compiled sparse matrix.
 
     ``h.sparse_matrix()`` folds every Pauli term into one CSR matrix; it is
@@ -326,7 +326,7 @@ def expectation_exact(state: Union[Statevector, DensityMatrix], h: PauliSum,
     """
     if state.n_qubits != h.n_qubits:
         raise SimulationError("state / operator qubit-count mismatch")
-    if not h.is_hermitian(hermitian_tol):
+    if not h.is_hermitian(HERMITIAN_TOL):
         raise SimulationError("expectation requires a Hermitian PauliSum")
     m = h.sparse_matrix()
     if isinstance(state, Statevector):
@@ -523,17 +523,14 @@ def _noisy_program(n: int, layout: tuple, t1_us: float, t2_us: float,
 
 
 def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
-                       theta: Sequence[float] = (),
-                       cap: int = 12) -> DensityMatrix:
+                       theta: Sequence[float] = ()) -> DensityMatrix:
     """Noisy execution at theta: ideal gates, decoherence on idle qubits.
 
     Gates run in the order of ``schedule_circuit``; each of its idle
     intervals applies one idle channel, so that every qubit touched by a
     gate idles up to the global circuit end and measurement is simultaneous.
     """
-    values = _parameter_values(c, theta)
-    if c.n_qubits > cap:
-        raise SimulationError(f"{c.n_qubits} qubits exceeds cap {cap}")
+    values = _parameter_values(c, theta, MAX_DENSITY_MATRIX_QUBITS)
     n = c.n_qubits
     program = _noisy_program(n, c.layout, nm.t1_us, nm.t2_us,
                              tuple(sorted(nm.durations_ns.items())))

@@ -22,6 +22,9 @@ from .simulator import (DensityMatrix, NoiseModel, expectation_exact,
                         expectation_sampled, run_density_matrix,
                         run_statevector)
 
+COBYLA_RHOBEG = 0.5        # initial trust-region radius
+COBYLA_RHOEND = 1e-6       # final radius; Nelder-Mead's xatol and fatol
+
 
 class VqeError(RuntimeError):
     pass
@@ -35,8 +38,6 @@ class VqeConfig:
     noise: Optional[NoiseModel] = None
     initial_guess: Union[str, Sequence[float]] = "random"  # zeros|random|vector
     rng_seed: int = 0
-    cobyla_rhobeg: float = 0.5
-    cobyla_rhoend: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -86,8 +87,7 @@ class _BudgetExhausted(Exception):
 
 
 def run_optimizer(objective: Callable[[np.ndarray], float],
-                  x0: np.ndarray, max_evals: int, method: str = "cobyla",
-                  rhobeg: float = 0.5, rhoend: float = 1e-6):
+                  x0: np.ndarray, max_evals: int, method: str = "cobyla"):
     """Minimize with an exact evaluation budget.
 
     Returns (best_x, best_f, n_evals, trace) where trace holds every
@@ -118,13 +118,13 @@ def run_optimizer(objective: Callable[[np.ndarray], float],
             # budget, so asking for fewer would only draw a scipy warning
             scipy.optimize.minimize(
                 wrapped, x0, method="COBYLA",
-                options={"rhobeg": rhobeg, "tol": rhoend,
+                options={"rhobeg": COBYLA_RHOBEG, "tol": COBYLA_RHOEND,
                          "maxiter": max(max_evals, x0.size + 2)})
         elif method == "nelder_mead":
             scipy.optimize.minimize(
                 wrapped, x0, method="Nelder-Mead",
-                options={"maxfev": max_evals, "xatol": rhoend,
-                         "fatol": rhoend})
+                options={"maxfev": max_evals, "xatol": COBYLA_RHOEND,
+                         "fatol": COBYLA_RHOEND})
         else:
             raise VqeError(f"unknown optimizer {method!r}")
     except _BudgetExhausted:
@@ -187,8 +187,7 @@ def minimize(c: ParameterizedCircuit, h: PauliSum, e_core: float,
     energy = make_energy_fn(c, h, e_core, cfg)
     theta0 = _initial_theta(cfg, c.n_parameters)
     best_x, best_f, n_evals, trace = run_optimizer(
-        energy, theta0, cfg.max_iterations, method=cfg.optimizer,
-        rhobeg=cfg.cobyla_rhobeg, rhoend=cfg.cobyla_rhoend)
+        energy, theta0, cfg.max_iterations, method=cfg.optimizer)
     return VqeResult(best_energy=best_f, best_theta=best_x,
                      energy_trace=trace, n_evaluations=n_evals,
                      converged=n_evals < cfg.max_iterations,

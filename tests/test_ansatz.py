@@ -35,6 +35,11 @@ def test_circuit_rejects_unreferenced_parameters():
         ParameterizedCircuit(1, (g,), 2)
 
 
+def test_circuit_rejects_negative_parameter_count():
+    with pytest.raises(AnsatzError, match="n_parameters"):
+        ParameterizedCircuit(2, (), -1)
+
+
 def test_bind_replaces_all_parameters():
     c = build_he("v2", 4, 1)
     bound = c.bind(np.zeros(c.n_parameters))
@@ -315,12 +320,6 @@ def test_trotter_rejects_non_anti_hermitian():
     gen = QuccGenerator(2, 1, ((1, 0),), (op,))
     with pytest.raises(AnsatzError):
         trotterize_qucc(gen)
-
-
-def test_trotter_rejects_higher_order():
-    gen = build_qucc_generator(make_h2_like())
-    with pytest.raises(AnsatzError):
-        trotterize_qucc(gen, order=2)
 
 
 def test_trotter_conserves_particle_number():

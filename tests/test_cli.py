@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from vqesim.cli import main
+from vqesim.exact import MAX_QUBITS
+from vqesim.fermion import MolecularIntegrals, write_fcidump
 
 
 def read_json(path):
@@ -51,6 +53,32 @@ def test_exact_empty_active_space_is_validation_error(tmp_path, h2_path,
                "--eps1", "0.001", "--eps2", "1.99",
                "--out", str(tmp_path / "x.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("orbitals", [
+    ["--active", "1", "1", "--frozen", "0"],
+    ["--active", "1", "2", "--frozen", "0", "0"],
+])
+def test_exact_repeated_orbital_is_validation_error(tmp_path, toy4_path,
+                                                     orbitals):
+    rc = main(["exact", "--fcidump", toy4_path, *orbitals,
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "exact.json").exists()
+
+
+def test_exact_above_qubit_limit_is_validation_error(tmp_path, capsys):
+    n = 9   # 18 spin-orbitals, so 18 qubits
+    assert 2 * n > MAX_QUBITS
+    m = MolecularIntegrals(n_orbitals=n, n_electrons=2, e_core=0.0,
+                           h_one=np.diag(np.arange(1.0, n + 1)),
+                           h_two=np.zeros((n, n, n, n)))
+    path = tmp_path / "big.fcidump"
+    path.write_text(write_fcidump(m))
+    rc = main(["exact", "--fcidump", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert f"{MAX_QUBITS}-qubit cap" in capsys.readouterr().err
+    assert not (tmp_path / "exact.json").exists()
 
 
 def test_missing_fcidump_is_validation_error(tmp_path):

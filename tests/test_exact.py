@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vqesim.exact import (OneRdm, ReferenceError, _sector_indices,
-                          ground_state, noons_to_csv, one_rdm)
+from vqesim.exact import (MAX_QUBITS, OneRdm, ReferenceError,
+                          _sector_indices, ground_state, noons_to_csv,
+                          one_rdm)
 from vqesim.fermion import (FermionOperator, MolecularIntegrals,
                             build_hamiltonian, jordan_wigner)
 from vqesim.pauli import PauliSum
@@ -106,7 +107,7 @@ def test_empty_sector_and_cap_errors():
     h = PauliSum(1, {"Z": 1.0})
     with pytest.raises(ReferenceError):
         ground_state(h, n_electrons=5)
-    big = PauliSum(17, {"I" * 17: 1.0})
+    big = PauliSum(MAX_QUBITS + 1, {"I" * (MAX_QUBITS + 1): 1.0})
     with pytest.raises(ReferenceError):
         ground_state(big, 1)
 

@@ -6,6 +6,7 @@ from vqesim.fermion import (ActiveSpace, FermionOperator, IntegralError,
                             build_hamiltonian, freeze_orbitals,
                             jordan_wigner, load_sidecar, parse_fcidump,
                             select_active_space, write_fcidump)
+from vqesim.pipeline import prepare_problem
 
 from oracles import (fermion_matrix, pauli_sum_matrix, random_integrals,
                      sector_ground_energy)
@@ -160,6 +161,12 @@ def test_select_partition_is_exact():
             continue
         assert not set(a.active) & set(a.occupied_frozen)
         assert len(set(a.active) | set(a.occupied_frozen)) <= n
+
+
+@pytest.mark.parametrize("active, frozen", [([1, 1], [0]), ([1, 2], [0, 0])])
+def test_prepare_problem_rejects_repeated_orbital(toy4_path, active, frozen):
+    with pytest.raises(IntegralError, match="repeats"):
+        prepare_problem(toy4_path, active=active, frozen=frozen)
 
 
 def test_select_requires_noons():

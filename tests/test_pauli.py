@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from vqesim.pauli import (LETTERS, PauliError, PauliString, PauliSum,
-                          multiply, multiply_letters, parity,
-                          string_actions)
+from vqesim.pauli import (LETTERS, MAX_DENSE_QUBITS, PauliError,
+                          PauliString, PauliSum, multiply, multiply_letters,
+                          parity, string_actions)
 
 from oracles import pauli_matrix, pauli_sum_matrix
 
@@ -129,7 +129,8 @@ def test_to_matrix_hermitian():
 
 def test_to_matrix_cap():
     with pytest.raises(PauliError):
-        PauliSum(3, {"XXX": 1.0}).to_matrix(cap=2)
+        PauliSum(MAX_DENSE_QUBITS + 1,
+                 {"X" * (MAX_DENSE_QUBITS + 1): 1.0}).to_matrix()
 
 
 def test_to_matrix_matches_oracle():

