@@ -109,6 +109,10 @@ def _campaign_points(args):
               len(args.fcidump) > 1]
     if sum(sweeps) > 1:
         raise ValidationError("exactly one sweep axis is allowed")
+    for flag, given in (("--sweep-params", args.sweep_params),
+                        ("--sidecar-list", args.sidecar_list)):
+        if given and len(args.fcidump) == 1:
+            raise ValidationError(f"{flag} needs more than one FCIDUMP")
     if getattr(args, "t1_list", None):
         for t1 in args.t1_list:
             yield f"t1_{t1:g}", t1, args.fcidump[0], args.sidecar, args.shots, t1

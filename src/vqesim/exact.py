@@ -9,7 +9,6 @@ complex Lanczos. The CLI reads the limit ``MAX_QUBITS`` of a reference.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,17 +99,3 @@ def one_rdm(state: Statevector, n_spatial: int) -> OneRdm:
             d[p, q] = d[q, p] = val
     noons = np.sort(np.linalg.eigvalsh(d))[::-1]
     return OneRdm(n_spatial=n_spatial, matrix=d, noons=noons)
-
-
-def noons_to_csv(rows: list[tuple[float, np.ndarray]]) -> str:
-    """CSV rows (distortion_parameter, noon_1, ..., noon_n)."""
-    if not rows:
-        return ""
-    n = len(rows[0][1])
-    out = io.StringIO()
-    out.write("distortion_parameter," +
-              ",".join(f"noon_{i + 1}" for i in range(n)) + "\n")
-    for param, noons in rows:
-        out.write(f"{param:.10g}," +
-                  ",".join(f"{x:.12g}" for x in noons) + "\n")
-    return out.getvalue()

@@ -11,9 +11,10 @@ import numpy as np
 from .ansatz import (ParameterizedCircuit, QuccGenerator, build_he,
                      build_qucc_generator, mp2_initial_amplitudes,
                      trotterize_qucc)
-from .fermion import (ActiveSpace, MolecularIntegrals, apply_sidecar,
-                      build_hamiltonian, freeze_orbitals, jordan_wigner,
-                      load_sidecar, parse_fcidump, select_active_space)
+from .fermion import (ActiveSpace, IntegralError, MolecularIntegrals,
+                      apply_sidecar, build_hamiltonian, freeze_orbitals,
+                      jordan_wigner, load_sidecar, parse_fcidump,
+                      select_active_space)
 from .pauli import PauliSum
 from .simulator import Statevector, expectation_exact
 
@@ -43,11 +44,17 @@ def prepare_problem(fcidump_path: str,
                     active: Optional[Sequence[int]] = None,
                     frozen: Optional[Sequence[int]] = None) -> Problem:
     """Load integrals, apply freezing, and map to a qubit Hamiltonian."""
+    if (eps1 is None) != (eps2 is None):
+        raise IntegralError("eps1 and eps2 must be given together")
+    if eps1 is not None and (active is not None or frozen):
+        raise IntegralError("eps1/eps2 cannot be given with active or frozen")
+    if frozen and active is None:
+        raise IntegralError("frozen orbitals need an active space")
     with open(fcidump_path) as fh:
         m = parse_fcidump(fh.read())
     if sidecar_path:
         m = apply_sidecar(m, load_sidecar(sidecar_path))
-    if eps1 is not None and eps2 is not None:
+    if eps1 is not None:
         asp = select_active_space(m, eps1, eps2)
     elif active is not None:
         frozen = tuple(frozen or ())

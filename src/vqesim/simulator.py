@@ -4,31 +4,28 @@ An n-qubit rho runs as the 2n-qubit vector rho.reshape(-1), row qubit q as
 vector qubit q + n and column qubit q as q. In both engines a CNOT is a
 gather through an index permutation (``_cnot_index``); on rho one gather
 acts on rows and columns. Every other operator goes through the kernels
-``_apply_1q``/``_apply_2q``: a one-qubit gate on psi, and on rho its 4x4
-superoperator, as is each idle interval's channel (amplitude damping, then
-pure dephasing). Gates follow ``schedule_circuit``.
+``_apply_1q``/``_apply_2q``: on psi a 2x2 matrix u, on rho the 4x4
+superoperator u (x) u*, times an idle channel (amplitude damping, then pure
+dephasing) where the qubit waits in the schedule of ``schedule_circuit``.
 
 Both engines run a circuit at a parameter vector theta, never binding it:
 a rotation turns by ``Gate.angle_at(theta)``, as in ``bind``, so the state
 equals that of the bound circuit bit for bit.
 
-The statevector engine compiles all that does not depend on theta once
-per gate layout (``ParameterizedCircuit.layout``, cached on the circuit;
-``_statevector_program``). Every one-qubit gate that acts on a qubit
-before any CNOT touches it folds into a product state: one 2-vector per
-qubit, joined by outer products. It covers the H/RY/RX prefix of the HE
-ansaetze and the Hartree-Fock X layer of qUCC. After that, the one-qubit
-gates on a qubit between two of its CNOTs fuse into one 2x2 product, one
-``_apply_1q`` call; each CNOT stays one gather. Per call only those 2x2
-products are built, one gate matrix at a time. ``_apply_1q`` multiplies
-rows of 2 * 2^q amplitudes by (u (x) I_{2^q})^T for low q and the stack
-of (2, 2^q) blocks by u above, whichever measured fastest.
-
-The noisy engine compiles all that does not depend on theta once per gate
-layout and NoiseModel (``_noisy_program``): the schedule order, the idle
-and fixed-gate superoperators and the CNOT index keys. Only rotation
-superoperators are built per call. Index arrays are cached for vectors of
-at most ``_INDEX_CACHE_MAX_LEN`` entries, in at most ``_INDEX_CACHE_BYTES``.
+Both engines run one program (``_program``), compiled once per gate
+layout (``ParameterizedCircuit.layout``, cached on the circuit) and, for
+rho, NoiseModel. Every one-qubit gate that acts on a qubit before any CNOT
+touches it folds into a product state psi0: one 2-vector per qubit, joined
+by outer products; rho starts as |psi0><psi0|. It covers the H/RY/RX
+prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC. After
+that, the one-qubit gates on a qubit between two of its CNOTs fuse into
+one 2x2 product u, and with the idle channel of the wait that ends them
+into one pass over psi or rho; each CNOT stays one gather. Per call only
+the products are built, one gate matrix at a time. ``_apply_1q``
+multiplies rows of 2 * 2^q amplitudes by (u (x) I_{2^q})^T for low q and
+the stack of (2, 2^q) blocks by u above, whichever measured fastest. Index
+arrays are cached for vectors of at most ``_INDEX_CACHE_MAX_LEN`` entries,
+in at most ``_INDEX_CACHE_BYTES``.
 
 Expectation values read the Hamiltonian's compiled form
 (``PauliSum.sparse_matrix`` and ``string_table``), exact and sampled alike
@@ -240,31 +237,61 @@ def _cnot_index(n_bits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _statevector_program(n: int, layout: tuple) -> tuple:
-    """The theta-independent plan of a noiseless run: (prefix, ops).
+def _program(n: int, layout: tuple, noise: tuple | None = None) -> tuple:
+    """The theta-independent plan of a run: (prefix, ops).
 
     ``prefix[q]`` lists the gates on qubit q before any CNOT touches it;
     they act on |0>, so each qubit starts in a product state. Each op is
-    (q, run): the gates ``run`` on qubit q between two of its CNOTs, or
-    after its last, fused into one 2x2 product; with q None, run is the
-    pair tuple of the gather ``_cnot_index(n, run)``. Gates are indices
-    into ``layout``. The tuple is shared by every caller.
+    (q, run, idle): the gates ``run`` on qubit q between two of its CNOTs,
+    or after its last, fused into one 2x2 product; with q None, run is the
+    (control, target) pair of a CNOT. Gates are indices into ``layout``.
+    ``noise`` is None or (t1_us, t2_us, sorted duration items), the key of
+    a NoiseModel, which holds a dict. With noise, ``idle`` is the read-only
+    superoperator of the wait that ends the run, else None: a qubit idles
+    only before one of its CNOTs or up to the end, so after its run (which
+    may then be empty). The tuple is shared by every caller.
     """
+    idles = _idle_superoperators(n, layout, noise)
     prefix: list[list[int]] = [[] for _ in range(n)]
     runs: dict[int, list[int]] = {}   # open run of each qubit past a CNOT
     ops = []
+
+    def close(q: int, i: int) -> None:   # the run of q ends at gate i
+        run, idle = tuple(runs.get(q, ())), idles.get((q, i))
+        if run or idle is not None:
+            ops.append((q, run, idle))
+
     for i, (kind, qubits) in enumerate(layout):
         if kind != "CNOT":
             q = qubits[0]
             (runs[q] if q in runs else prefix[q]).append(i)
             continue
         for q in qubits:
-            if runs.get(q):
-                ops.append((q, tuple(runs[q])))
+            close(q, i)
             runs[q] = []
-        ops.append((None, (qubits,)))
-    ops.extend((q, tuple(run)) for q, run in runs.items() if run)
+        ops.append((None, qubits, None))
+    for q in [*runs, *(q for q in range(n) if q not in runs)]:
+        close(q, len(layout))
     return tuple(map(tuple, prefix)), tuple(ops)
+
+
+def _idle_superoperators(n: int, layout: tuple,
+                         noise: tuple | None) -> dict:
+    """{(q, i): superoperator} of each wait of qubit q that ends at gate i
+    of ``layout``, or at the circuit's end for i = len(layout)."""
+    if noise is None:
+        return {}
+    nm = NoiseModel(noise[0], noise[1], dict(noise[2]))
+    sched = _schedule(n, layout, nm)
+    gate_at = {(q, start): i for i, ((_, qubits), (start, _))
+               in enumerate(zip(layout, sched.gate_spans)) for q in qubits}
+    # a wait on qubit q ends at the start of q's next gate or at the end
+    waits = {(q, gate_at.get((q, b), len(layout))): b - a
+             for q, intervals in enumerate(sched.idle_intervals)
+             for a, b in intervals}
+    superops = {t: _read_only(_superoperator(_idle_kraus(t, nm)))
+                for t in set(waits.values())}
+    return {key: superops[t] for key, t in waits.items()}
 
 
 def _fused(gates: tuple[Gate, ...], run: tuple[int, ...],
@@ -276,6 +303,15 @@ def _fused(gates: tuple[Gate, ...], run: tuple[int, ...],
     for i in run[1:]:
         u = gate_matrix(gates[i], theta) @ u
     return u
+
+
+def _product_state(gates: tuple[Gate, ...], prefix: tuple,
+                   theta: list[float]) -> np.ndarray:
+    """The amplitudes after the ``prefix`` gates of each qubit act on |0>."""
+    psi = np.ones(1, dtype=complex)
+    for q in reversed(range(len(prefix))):   # qubit 0 is the least significant
+        psi = np.multiply.outer(psi, _fused(gates, prefix[q], theta)[:, 0])
+    return psi.reshape(-1)
 
 
 def _parameter_values(c: ParameterizedCircuit, theta: Sequence[float],
@@ -294,19 +330,16 @@ def run_statevector(c: ParameterizedCircuit,
                     theta: Sequence[float] = ()) -> Statevector:
     """Apply circuit c at parameters theta to |0...0>.
 
-    Only the 2x2 products depend on theta; the rest is
-    ``_statevector_program``, compiled once per gate layout.
+    Only the 2x2 products depend on theta; the rest is ``_program``,
+    compiled once per gate layout.
     """
     values = _parameter_values(c, theta, MAX_STATEVECTOR_QUBITS)
     n = c.n_qubits
-    prefix, ops = _statevector_program(n, c.layout)
-    psi = np.ones(1, dtype=complex)
-    for q in reversed(range(n)):   # qubit 0 is the least significant bit
-        psi = np.multiply.outer(psi, _fused(c.gates, prefix[q], values)[:, 0])
-    psi = psi.reshape(-1)
-    for q, run in ops:
+    prefix, ops = _program(n, c.layout)
+    psi = _product_state(c.gates, prefix, values)
+    for q, run, _ in ops:
         if q is None:
-            psi = psi[_cnot_index(n, run)]
+            psi = psi[_cnot_index(n, (run,))]
         else:
             psi = _apply_1q(psi, _fused(c.gates, run, values), q)
     return Statevector(n, psi)
@@ -485,61 +518,26 @@ def apply_idle_channel(rho: np.ndarray, q: int, t_ns: float,
     return _apply_kraus_1q(rho, _idle_kraus(t_ns, nm), q)
 
 
-@functools.lru_cache(maxsize=8)
-def _noisy_program(n: int, layout: tuple, t1_us: float, t2_us: float,
-                   durations: tuple) -> tuple:
-    """The theta-independent op list of a noisy run, in application order.
-
-    Each op is (tag, q, arg): ("channel", q, S) applies the read-only 4x4
-    superoperator S on vector qubits (q + n, q); ("rotation", q, i) the
-    superoperator of rotation i under theta; ("cnot", None, pairs) the gather
-    ``_cnot_index(2 n, pairs)`` on rows and columns at once. The arguments
-    are the key: a NoiseModel holds a dict, so it is neither hashable nor
-    fixed after construction. The tuple is shared by every caller.
-    """
-    nm = NoiseModel(t1_us, t2_us, dict(durations))
-    sched = _schedule(n, layout, nm)
-    # an interval on qubit q ends at the start of q's next gate or at the end
-    waits = {(q, b): b - a for q, intervals in enumerate(sched.idle_intervals)
-             for a, b in intervals}
-    superops = {t: _read_only(_superoperator(_idle_kraus(t, nm)))
-                for t in set(waits.values())}
-    ops = []
-    for i, ((kind, qubits), (start, _)) in enumerate(
-            zip(layout, sched.gate_spans)):
-        for q in qubits:
-            if (q, start) in waits:
-                ops.append(("channel", q, superops[waits.pop((q, start))]))
-        if kind == "CNOT":
-            c, t = qubits
-            ops.append(("cnot", None, ((c + n, t + n), (c, t))))
-        elif kind in ROTATIONS:
-            ops.append(("rotation", qubits[0], i))
-        else:
-            u = gate_matrix(Gate(kind, qubits))
-            ops.append(("channel", qubits[0], _read_only(_superoperator([u]))))
-    ops.extend(("channel", q, superops[t]) for (q, _), t in waits.items())
-    return tuple(ops)
-
-
 def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
                        theta: Sequence[float] = ()) -> DensityMatrix:
     """Noisy execution at theta: ideal gates, decoherence on idle qubits.
 
-    Gates run in the order of ``schedule_circuit``; each of its idle
-    intervals applies one idle channel, so that every qubit touched by a
-    gate idles up to the global circuit end and measurement is simultaneous.
+    Each idle interval of ``schedule_circuit`` applies one idle channel, so
+    every qubit touched by a gate idles up to the global circuit end and
+    measurement is simultaneous.
     """
     values = _parameter_values(c, theta, MAX_DENSITY_MATRIX_QUBITS)
     n = c.n_qubits
-    program = _noisy_program(n, c.layout, nm.t1_us, nm.t2_us,
-                             tuple(sorted(nm.durations_ns.items())))
-    v = Statevector.zero_state(2 * n).amplitudes
-    for tag, q, arg in program:
-        if tag == "cnot":
-            v = v[_cnot_index(2 * n, arg)]
+    prefix, ops = _program(n, c.layout, (
+        nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items()))))
+    psi = _product_state(c.gates, prefix, values)   # no qubit idles before
+    v = np.outer(psi, psi.conj()).reshape(-1)
+    for q, run, idle in ops:
+        if q is None:
+            ctl, tgt = run
+            v = v[_cnot_index(2 * n, ((ctl + n, tgt + n), (ctl, tgt)))]
             continue
-        if tag == "rotation":
-            arg = _superoperator([gate_matrix(c.gates[arg], values)])
-        v = _apply_2q(v, arg, q + n, q)
+        u = _fused(c.gates, run, values)
+        s = np.kron(u, u.conj())
+        v = _apply_2q(v, s if idle is None else idle @ s, q + n, q)
     return DensityMatrix(n, v.reshape(2 ** n, 2 ** n))

@@ -67,6 +67,16 @@ def test_exact_repeated_orbital_is_validation_error(tmp_path, toy4_path,
     assert not (tmp_path / "exact.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--frozen", "0"], ["--eps1", "0.01"]],
+                         ids=["frozen_without_active", "eps1_without_eps2"])
+def test_exact_ignored_flag_is_validation_error(tmp_path, toy4_path,
+                                                toy4_sidecar_path, flags):
+    rc = main(["exact", "--fcidump", toy4_path, "--sidecar",
+               toy4_sidecar_path, *flags, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "exact.json").exists()
+
+
 def test_exact_above_qubit_limit_is_validation_error(tmp_path, capsys):
     n = 9   # 18 spin-orbitals, so 18 qubits
     assert 2 * n > MAX_QUBITS
@@ -240,6 +250,18 @@ def test_conflicting_sweep_axes_rejected(tmp_path, h2_path):
     argv[0] = "sweep-t1"
     argv.extend(["--t1-list", "100"])
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("flag", ["--sweep-params", "--sidecar-list"])
+def test_single_fcidump_sweep_flag_is_validation_error(
+        tmp_path, h2_path, h2_sidecar_path, capsys, flag):
+    values = {"--sweep-params": ["1", "2"],
+              "--sidecar-list": [h2_sidecar_path]}[flag]
+    out = tmp_path / "out"
+    assert main(vqe_args(h2_path, out, **{"--ansatz": "qucc",
+                                          flag: values})) == 1
+    assert f"{flag} needs more than one FCIDUMP" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fcidump_sweep_with_params(tmp_path, h2_path, toy4_path):

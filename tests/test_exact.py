@@ -3,8 +3,7 @@ import pytest
 import scipy.linalg
 
 from vqesim.exact import (MAX_QUBITS, OneRdm, ReferenceError,
-                          _sector_indices, ground_state, noons_to_csv,
-                          one_rdm)
+                          _sector_indices, ground_state, one_rdm)
 from vqesim.fermion import (FermionOperator, MolecularIntegrals,
                             build_hamiltonian, jordan_wigner)
 from vqesim.pauli import PauliSum
@@ -182,15 +181,6 @@ def test_noninteracting_fragments_have_degenerate_noons(h2_problem):
     assert abs(noons[0] - noons[1]) < 1e-8
     assert abs(noons[2] - noons[3]) < 1e-8
     assert abs(noons.sum() - 4.0) < 1e-8
-
-
-def test_noons_csv_export():
-    rows = [(1.41, np.array([1.97, 0.03])), (2.0, np.array([1.5, 0.5]))]
-    csv = noons_to_csv(rows)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "distortion_parameter,noon_1,noon_2"
-    assert lines[1].startswith("1.41,1.97,")
-    assert noons_to_csv([]) == ""
 
 
 @pytest.mark.parametrize("n_qubits", [1, 4, 8, 12])

@@ -169,6 +169,25 @@ def test_prepare_problem_rejects_repeated_orbital(toy4_path, active, frozen):
         prepare_problem(toy4_path, active=active, frozen=frozen)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"frozen": [0]},
+    {"eps1": 0.01},
+    {"eps2": 0.01},
+    {"eps1": 1e-4, "eps2": 1e-4, "active": [1, 2]},
+    {"eps1": 1e-4, "eps2": 1e-4, "frozen": [0]},
+], ids=["frozen_without_active", "eps1_only", "eps2_only",
+        "eps_with_active", "eps_with_frozen"])
+def test_prepare_problem_rejects_ignored_arguments(toy4_path,
+                                                   toy4_sidecar_path, kwargs):
+    with pytest.raises(IntegralError):
+        prepare_problem(toy4_path, sidecar_path=toy4_sidecar_path, **kwargs)
+
+
+def test_prepare_problem_accepts_empty_frozen_without_active(toy4_path):
+    problem = prepare_problem(toy4_path, active=None, frozen=())
+    assert problem.active_space.active == (0, 1, 2, 3)
+
+
 def test_select_requires_noons():
     m = make_integrals(2, 2, seed=5)
     with pytest.raises(IntegralError):

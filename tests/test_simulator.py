@@ -20,6 +20,8 @@ from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
                               _apply_1q, _cached_cnot_index, _cnot_index,
                               _pauli_expectations)
 
+import vqesim.simulator as simulator
+
 from oracles import (apply_kraus_full, circuit_unitary, embed_1q,
                      embed_cnot, idle_kraus_full, noisy_density_matrix,
                      pauli_matrix, pauli_sum_matrix, tensor_statevector)
@@ -623,6 +625,61 @@ def test_compiled_noise_program_is_keyed_on_every_input():
     for _ in range(2):
         for g in (gates, flipped):
             _assert_matches_oracle(ParameterizedCircuit(3, g, 0), nm)
+
+
+NOISE_MODELS = [NoiseModel(), NoiseModel(t1_us=0.1, t2_us=0.1)]
+
+
+@pytest.mark.parametrize("nm", NOISE_MODELS, ids=["table1", "strong"])
+@pytest.mark.parametrize("n, gates", [
+    # qubit 0 waits after its prefix, and again between its two CNOTs with
+    # no gate in between, while qubit 1 turns
+    (2, (Gate("H", (0,)), Gate("RY", (1,), angle=0.4),
+         Gate("RX", (1,), angle=0.9), Gate("CNOT", (0, 1)),
+         Gate("H", (1,)), Gate("RZ", (1,), angle=0.3),
+         Gate("CNOT", (0, 1)), Gate("RY", (0,), angle=1.1))),
+    # qubit 2 has only one-qubit gates and idles to the circuit's end
+    (3, (Gate("H", (2,)), Gate("RY", (2,), angle=0.7), Gate("H", (0,)),
+         Gate("CNOT", (0, 1)), Gate("X", (1,)), Gate("CNOT", (1, 0)),
+         Gate("RX", (0,), angle=0.2), Gate("CNOT", (0, 1)))),
+    # qubit 2 is never touched
+    (3, (Gate("RX", (0,), angle=0.8), Gate("CNOT", (0, 1)),
+         Gate("H", (1,)), Gate("CNOT", (1, 0)))),
+    # CNOTs only, with qubit 3 never touched
+    (4, (Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)), Gate("CNOT", (0, 2)),
+         Gate("CNOT", (2, 0)))),
+], ids=["idle_only_run", "one_qubit_gates_only", "untouched_qubit",
+        "cnots_only"])
+def test_fused_noisy_program_matches_oracle_on_edge_layouts(n, gates, nm):
+    _assert_matches_oracle(ParameterizedCircuit(n, gates, 0), nm)
+
+
+@pytest.mark.parametrize("nm", NOISE_MODELS, ids=["table1", "strong"])
+def test_unbound_qucc_density_matrix_matches_oracle(h2_problem, nm):
+    c, _ = build_ansatz("qucc", h2_problem)
+    theta = np.random.default_rng(64).uniform(-np.pi, np.pi, c.n_parameters)
+    expected = noisy_density_matrix(c.bind(theta), nm.t1_us, nm.t2_us,
+                                    nm.durations_ns)
+    np.testing.assert_allclose(run_density_matrix(c, nm, theta).rho,
+                               expected, rtol=0, atol=1e-12)
+
+
+def test_noisy_run_makes_one_pass_per_fused_run(monkeypatch, toy4_problem):
+    c, _ = build_ansatz("qucc", toy4_problem)
+    nm = NoiseModel()
+    calls = []
+    apply_2q = simulator._apply_2q
+    monkeypatch.setattr(simulator, "_apply_2q",
+                        lambda *args: calls.append(1) or apply_2q(*args))
+    theta = np.random.default_rng(65).uniform(-1, 1, c.n_parameters)
+    run_density_matrix(c, nm, theta)
+    _, ops = simulator._program(c.n_qubits, c.layout, (
+        nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items()))))
+    runs = sum(1 for q, _, _ in ops if q is not None)
+    one_qubit_gates = sum(1 for g in c.gates if g.kind != "CNOT")
+    idles = sum(map(len, schedule_circuit(c, nm).idle_intervals))
+    assert len(calls) == runs
+    assert runs < one_qubit_gates + idles
 
 
 def test_durations_mutated_in_place_change_the_next_run():
