@@ -5,10 +5,9 @@ Spin-orbitals are interleaved: spatial orbital p maps to spin-orbitals
 notation (pq|rs) as read from FCIDUMP; the conversion to physicists'
 ordering happens when the second-quantized Hamiltonian is assembled.
 
-``jordan_wigner`` works on bit masks: a Pauli string on n <= 63 qubits is
-an (x mask, z mask, phase) triple, a product of strings is an XOR of masks
-with a popcount sign, and every term of the same length is expanded in one
-numpy pass.
+``jordan_wigner`` works on the bit masks of ``pauli`` (n <= 63 modes): it
+expands every ladder-operator term of the same length in one numpy pass
+with ``pauli.mask_product``, and ``PauliSum.from_masks`` sums the strings.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .pauli import _I_POWERS, PRUNE_TOL, PauliSum
+from .pauli import MAX_MASK_QUBITS, PRUNE_TOL, PauliSum, mask_product
 
 SYMMETRY_TOL = 1e-10       # atol of the symmetry checks in validate
 FCIDUMP_WRITE_TOL = 1e-15  # |integral| that write_fcidump leaves out
@@ -365,10 +364,6 @@ def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     return FermionOperator.from_terms(n_so, terms)
 
 
-# letter of one qubit from its (x bit, z bit): X^x Z^z with XZ = -iY
-_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
-
-
 def _ladder_strings(modes: np.ndarray, dagger: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two strings of each ladder operator, as arrays of shape (..., 2).
@@ -386,40 +381,34 @@ def _ladder_strings(modes: np.ndarray, dagger: np.ndarray
 
 
 def _expand(coeffs: np.ndarray, modes: np.ndarray, dagger: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, z, value) of every string of T terms of L ladder operators each.
+            ) -> tuple[np.ndarray, ...]:
+    """(x, z, k, coeff) of every string of T terms of L ladder operators each.
 
     ``modes`` and ``dagger`` have shape (T, L); each term becomes its 2^L
-    strings, multiplied left to right:
-    (i^k1 X^x1 Z^z1)(i^k2 X^x2 Z^z2) = i^(k1+k2) (-1)^popcount(z1 & x2)
-    X^(x1^x2) Z^(z1^z2).
+    strings coeff * i^k X^x Z^z, multiplied left to right by
+    ``pauli.mask_product``.
     """
     n_terms, length = modes.shape
-    x = np.zeros((n_terms, 1), dtype=np.int64)
-    z = np.zeros((n_terms, 1), dtype=np.int64)
-    k = np.zeros((n_terms, 1), dtype=np.int64)
+    x = z = k = np.zeros((n_terms, 1), dtype=np.int64)
     lx, lz, lk = _ladder_strings(modes, dagger)
     for j in range(length):
-        ox, oz = lx[:, None, j], lz[:, None, j]
-        sign = 2 * np.bitwise_count(z[:, :, None] & ox)
+        x, z, sign = mask_product(x[:, :, None], z[:, :, None],
+                                  lx[:, None, j], lz[:, None, j])
         k = (k[:, :, None] + lk[:, None, j] + sign).reshape(n_terms, -1)
-        x = (x[:, :, None] ^ ox).reshape(n_terms, -1)
-        z = (z[:, :, None] ^ oz).reshape(n_terms, -1)
-    # each X Z on one qubit is -i Y
-    k = k - np.bitwise_count(x & z)
-    values = (coeffs * 0.5 ** length)[:, None] * _I_POWERS[k % 4]
-    return x.ravel(), z.ravel(), values.ravel()
+        x, z = x.reshape(n_terms, -1), z.reshape(n_terms, -1)
+    return (x.ravel(), z.ravel(), k.ravel(),
+            np.repeat(coeffs * 0.5 ** length, 2 ** length))
 
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
     """Map a FermionOperator to a PauliSum on n_modes qubits.
 
     One vectorised pass: the terms are grouped by length, every term of
-    length L expands at once into its 2^L strings as bit masks, equal
-    strings are summed, and the PauliSum is built once from the result.
+    length L expands at once into its 2^L strings as bit masks, and
+    ``PauliSum.from_masks`` sums equal strings into the PauliSum.
     """
     n = f.n_modes
-    if n > 63:
+    if n > MAX_MASK_QUBITS:
         raise IntegralError(f"{n} modes do not fit a 64-bit mask")
     groups: dict[int, list] = {}
     for coeff, ops in f.terms:
@@ -432,19 +421,4 @@ def jordan_wigner(f: FermionOperator) -> PauliSum:
         ops = np.array([o for _, o in group], dtype=np.int64).reshape(
             len(group), length, 2)
         parts.append(_expand(coeffs, ops[..., 0], ops[..., 1]))
-    x, z, values = (np.concatenate(a) for a in zip(*parts))
-    # equal strings share a key: the pair of ranks of their x and z masks
-    xs, x_rank = np.unique(x, return_inverse=True)
-    zs, z_rank = np.unique(z, return_inverse=True)
-    keys, where = np.unique(x_rank * len(zs) + z_rank, return_inverse=True)
-    total = np.zeros(len(keys), dtype=complex)
-    np.add.at(total, where, values)
-    keep = np.abs(total) > PRUNE_TOL      # most cancel, as XY - YX does
-    keys, total = keys[keep], total[keep]
-    shifts = np.arange(n)
-    x_bits = (xs[keys // len(zs), None] >> shifts) & 1
-    z_bits = (zs[keys % len(zs), None] >> shifts) & 1
-    codes = _LETTER_CODES[x_bits + 2 * z_bits]
-    text = codes.tobytes().decode("ascii")
-    letters = [text[i:i + n] for i in range(0, len(text), n)]
-    return PauliSum(n, dict(zip(letters, total.tolist())))
+    return PauliSum.from_masks(n, *(np.concatenate(a) for a in zip(*parts)))

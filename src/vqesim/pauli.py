@@ -6,6 +6,9 @@ Conventions used throughout the package:
   ``"XZI"`` puts X on qubit 0 and Z on qubit 1.
 * Qubit 0 is the least significant bit of a computational-basis index,
   so the dense matrix of a string is ``P[q_{n-1}] (x) ... (x) P[q_0]``.
+* On up to 63 qubits a string is also i^k X^x Z^z with bit masks x, z:
+  ``string_actions`` and ``PauliSum.from_masks`` convert between the two
+  forms, and ``mask_product`` is the one product rule of strings.
 
 A ``PauliSum`` compiles once into its term table (``string_table``, built
 by ``string_actions``), and ``basis_matrix`` assembles every sparse matrix
@@ -23,6 +26,7 @@ import scipy.sparse
 
 PRUNE_TOL = 1e-14          # |coefficient| that counts as zero, package-wide
 MAX_DENSE_QUBITS = 16      # largest n of PauliSum.to_matrix
+MAX_MASK_QUBITS = 63       # largest n whose strings fit a signed 64-bit mask
 
 LETTERS = "IXYZ"
 
@@ -33,19 +37,12 @@ _MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# single-qubit products: (a, b) -> (phase, letter) with a*b = phase * letter
-_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
-
 _PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 _I_POWERS = np.array([1, 1j, -1, -1j])   # i^k for k = 0, 1, 2, 3
+
+# letter of one qubit from its (x bit, z bit): X^x Z^z with XZ = -iY
+_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
 
 # largest |Im coeff| of a sum that expectation values accept as Hermitian
 HERMITIAN_TOL = 1e-10
@@ -66,10 +63,13 @@ def string_actions(letters: Iterable[str]
     """Flip masks, sign masks and prefactors of equal-length Pauli strings.
 
     P|z> = pref * (-1)^popcount(z & sign) |z ^ flip>: X and Y flip a qubit,
-    Y and Z sign it, and pref = i^(number of Y letters).
+    Y and Z sign it, and pref = i^(number of Y letters), so that
+    P = pref X^flip Z^sign.
     """
     letters = list(letters)
     n = len(letters[0]) if letters else 0
+    if n > MAX_MASK_QUBITS:
+        raise PauliError(f"{n} qubits exceed the mask cap {MAX_MASK_QUBITS}")
     codes = np.frombuffer("".join(letters).encode("ascii"),
                           dtype=np.uint8).reshape(len(letters), n)
     y = codes == ord("Y")
@@ -84,17 +84,14 @@ def parity(x: np.ndarray) -> np.ndarray:
     return np.bitwise_count(x) & 1
 
 
-def multiply_letters(a: str, b: str) -> tuple[complex, str]:
-    """Product of two letter strings, returning (phase, letters)."""
-    if len(a) != len(b):
-        raise PauliError(f"length mismatch: {len(a)} vs {len(b)}")
-    phase = 1 + 0j
-    out = []
-    for la, lb in zip(a, b):
-        ph, lc = _PRODUCT[(la, lb)]
-        phase *= ph
-        out.append(lc)
-    return phase, "".join(out)
+def mask_product(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray,
+                 z2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, z, k) with (X^x1 Z^z1)(X^x2 Z^z2) = i^k X^x Z^z, elementwise.
+
+    Moving Z^z1 past X^x2 flips the sign once per shared qubit:
+    (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2).
+    """
+    return x1 ^ x2, z1 ^ z2, 2 * np.bitwise_count(z1 & x2)
 
 
 @dataclass(frozen=True)
@@ -126,10 +123,9 @@ class PauliString:
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Operator product a*b as a single Pauli string with accumulated phase."""
-    if a.n_qubits != b.n_qubits:
-        raise PauliError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
-    phase, letters = multiply_letters(a.letters, b.letters)
-    return PauliString(a.n_qubits, letters, a.phase * b.phase * phase)
+    ((letters, phase),) = (PauliSum(a.n_qubits, {a.letters: a.phase})
+                           * PauliSum(b.n_qubits, {b.letters: b.phase})).items()
+    return PauliString(a.n_qubits, letters, phase)
 
 
 class PauliSum:
@@ -197,12 +193,13 @@ class PauliSum:
         if isinstance(other, PauliSum):
             if self.n_qubits != other.n_qubits:
                 raise PauliError("qubit-count mismatch in product")
-            out: Dict[str, complex] = {}
-            for la, ca in self._terms.items():
-                for lb, cb in other._terms.items():
-                    phase, lc = multiply_letters(la, lb)
-                    out[lc] = out.get(lc, 0) + ca * cb * phase
-            return PauliSum(self.n_qubits, out)
+            # a term is coeff * pref * X^flip Z^sign: all pairs in one pass
+            fa, sa, pa, ca = self.string_table()
+            fb, sb, pb, cb = other.string_table()
+            x, z, k = mask_product(fa[:, None], sa[:, None], fb, sb)
+            values = np.outer(ca * pa, cb * pb)
+            return PauliSum.from_masks(self.n_qubits, x.ravel(), z.ravel(),
+                                       k.ravel(), values.ravel())
         return PauliSum(self.n_qubits,
                         {k: v * complex(other) for k, v in self._terms.items()})
 
@@ -295,6 +292,27 @@ class PauliSum:
             else:
                 lines.append(f"{coeff.real:.16g}{coeff.imag:+.16g}j {letters}")
         return "\n".join(lines)
+
+    @classmethod
+    def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,
+                   k: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """Sum of coeffs[t] i^k[t] X^x[t] Z^z[t], equal strings merged."""
+        # each X Z on one qubit is -i Y (mod 4, so an unsigned k may wrap)
+        values = coeffs * _I_POWERS[(k - np.bitwise_count(x & z)) % 4]
+        # equal strings share a key: the pair of ranks of their x and z masks
+        xs, x_rank = np.unique(x, return_inverse=True)
+        zs, z_rank = np.unique(z, return_inverse=True)
+        keys, where = np.unique(x_rank * len(zs) + z_rank, return_inverse=True)
+        total = np.zeros(len(keys), dtype=complex)
+        np.add.at(total, where, values)
+        keep = np.abs(total) > PRUNE_TOL      # most cancel, as XY - YX does
+        keys, total = keys[keep], total[keep]
+        shifts = np.arange(n_qubits)
+        x_bits = (xs[keys // len(zs), None] >> shifts) & 1
+        z_bits = (zs[keys % len(zs), None] >> shifts) & 1
+        text = _LETTER_CODES[x_bits + 2 * z_bits].tobytes().decode("ascii")
+        letters = [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
+        return cls(n_qubits, dict(zip(letters, total.tolist())))
 
     @classmethod
     def parse(cls, text: str, n_qubits: int) -> "PauliSum":

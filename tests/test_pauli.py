@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vqesim.pauli import (LETTERS, MAX_DENSE_QUBITS, PauliError,
-                          PauliString, PauliSum, multiply, multiply_letters,
-                          parity, string_actions)
+                          PauliString, PauliSum, multiply, parity,
+                          string_actions)
 
 from oracles import pauli_matrix, pauli_sum_matrix
 
@@ -149,6 +149,49 @@ def test_product_of_sums_matches_matrix_oracle():
     b = PauliSum(3, {"YYZ": 0.4, "IIX": rng.normal()})
     np.testing.assert_allclose((a * b).to_matrix(),
                                a.to_matrix() @ b.to_matrix(), atol=1e-12)
+
+    def random_sum(n):
+        return PauliSum(n, {"".join(rng.choice(list(LETTERS), size=n)):
+                            complex(rng.normal(), rng.normal())
+                            for _ in range(int(rng.integers(1, 9)))})
+
+    # random complex sums on 1-6 qubits against the dense oracle
+    for n in range(1, 7):
+        for _ in range(4):
+            a, b = random_sum(n), random_sum(n)
+            np.testing.assert_allclose(
+                (a * b).to_matrix(),
+                pauli_sum_matrix(a.terms, n) @ pauli_sum_matrix(b.terms, n),
+                atol=1e-12)
+
+    # (X + iY)(X + iY) = XX - YY + i(XY + YX) = 0: every string cancels
+    raising = PauliSum(1, {"X": 1.0, "Y": 1j})
+    assert len(raising * raising) == 0
+
+    # all 16 one-qubit letter pairs, each an exact unit phase times a letter
+    for la, lb in itertools.product(LETTERS, repeat=2):
+        out = multiply(PauliString(1, la), PauliString(1, lb))
+        np.testing.assert_array_equal(out.to_matrix(),
+                                      pauli_matrix(la) @ pauli_matrix(lb))
+
+
+def test_masks_fit_63_qubits():
+    x62 = PauliSum(63, {"I" * 62 + "X": 1.0})
+    flips, signs, _, _ = x62.string_table()
+    assert flips.tolist() == [2 ** 62] and signs.tolist() == [0]
+    assert (x62 * x62).terms == {"I" * 63: 1.0}
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_masks_above_63_qubits_raise(n):
+    # bit 63 is the sign of an int64 and bit 64 does not exist: an X on
+    # qubit 64 used to compile as the identity
+    s = PauliSum(n, {"I" * (n - 1) + "X": 1.0})
+    with pytest.raises(PauliError):
+        s.string_table()
+    with pytest.raises(PauliError):
+        s * s
+    assert (s * 2).terms == {"I" * (n - 1) + "X": 2.0}   # needs no masks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
