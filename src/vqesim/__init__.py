@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .pauli import PauliString, PauliSum, multiply
+from .pauli import PauliSum
 from .fermion import (ActiveSpace, FermionOperator, MolecularIntegrals,
                       build_hamiltonian, freeze_orbitals, jordan_wigner,
                       parse_fcidump, select_active_space, write_fcidump)
@@ -12,7 +12,7 @@ from .ansatz import (Gate, ParameterizedCircuit, QuccAmplitudes,
 from .simulator import (DensityMatrix, NoiseModel, Schedule, Statevector,
                         expectation_exact, expectation_sampled,
                         run_density_matrix, run_statevector,
-                        sample_bitstrings, schedule_circuit)
+                        schedule_circuit)
 from .vqe import TrialEnsemble, VqeConfig, VqeResult, minimize, run_trials
 from .exact import OneRdm, SpectrumResult, ground_state, one_rdm
 from .geometry import MoleculeGeometry, distortion1, distortion2, distortion3

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fermion import FermionOperator, IntegralError, MolecularIntegrals, jordan_wigner
-from .pauli import HERMITIAN_TOL, PRUNE_TOL, PauliSum
+from .fermion import FermionOperator, MolecularIntegrals, jordan_wigner
+from .pauli import HERMITIAN_TOL, PRUNE_TOL
 
 ROTATIONS = ("RX", "RY", "RZ")
 FIXED = ("H", "X", "Y", "Z")
@@ -101,11 +101,6 @@ class ParameterizedCircuit:
         if self.n_parameters and used != set(range(self.n_parameters)):
             missing = set(range(self.n_parameters)) - used
             raise AnsatzError(f"unreferenced parameter indices: {sorted(missing)}")
-
-    @property
-    def is_bound(self) -> bool:
-        # every index is below n_parameters and used, so none means no param
-        return self.n_parameters == 0
 
     @functools.cached_property
     def layout(self) -> tuple:
@@ -252,15 +247,6 @@ class QuccGenerator:
     @property
     def n_parameters(self) -> int:
         return len(self.excitations)
-
-    def as_operator(self, theta: Sequence[float]) -> FermionOperator:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_parameters,):
-            raise AnsatzError("theta length mismatch")
-        total = FermionOperator.from_terms(self.n_modes, [])
-        for t, op in zip(theta, self.operators):
-            total = total + op * t
-        return total
 
 
 def _spin(so: int) -> int:

@@ -17,7 +17,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np

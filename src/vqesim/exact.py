@@ -1,10 +1,11 @@
 """Exact references: sector-restricted diagonalization, 1-RDM and NOONs.
 
 The sector Hamiltonian comes from the compiled form of the PauliSum
-(``PauliSum.basis_matrix`` on the sector's basis indices). Up to 12 qubits
-it is solved densely, in real arithmetic when no entry has an imaginary
-part (as for every real-integral molecular Hamiltonian); above, by
-complex Lanczos. The CLI reads the limit ``MAX_QUBITS`` of a reference.
+(``PauliSum.basis_matrix`` on the sector's basis indices). Up to
+``DENSE_MAX_QUBITS`` it is solved densely, in real arithmetic when no
+entry has an imaginary part (as for every real-integral molecular
+Hamiltonian); above, by complex Lanczos. The CLI reads the limit
+``MAX_QUBITS`` of a reference.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .pauli import PauliSum
 from .simulator import Statevector, expectation_exact
 
 MAX_QUBITS = 16            # largest qubit count of a reference
+DENSE_MAX_QUBITS = 12      # largest qubit count of the dense solve
 LANCZOS_TOL = 1e-10        # relative accuracy of ARPACK's eigenvalue
 
 
@@ -46,15 +48,15 @@ def _sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
     return idx[np.bitwise_count(idx) == n_electrons]
 
 
-def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
-                 dense_cap: int = 12) -> SpectrumResult:
+def ground_state(h: PauliSum, n_electrons: int,
+                 e_core: float = 0.0) -> SpectrumResult:
     """Lowest eigenpair of H restricted to the fixed particle-number sector.
 
     The sector matrix is ``h.basis_matrix`` on the sector's basis indices.
-    Dense Hermitian solve for the lowest eigenpair only up to dense_cap
-    qubits, on the real part of the matrix when it has no imaginary entry;
-    Lanczos (ARPACK) above, from a fixed seeded start vector so that
-    repeated calls agree exactly.
+    Dense Hermitian solve for the lowest eigenpair only up to
+    DENSE_MAX_QUBITS qubits, on the real part of the matrix when it has no
+    imaginary entry; Lanczos (ARPACK) above, from a fixed seeded start
+    vector so that repeated calls agree exactly.
     """
     n = h.n_qubits
     if n > MAX_QUBITS:
@@ -64,7 +66,7 @@ def ground_state(h: PauliSum, n_electrons: int, e_core: float = 0.0,
     sector = _sector_indices(n, n_electrons)
     mat = h.basis_matrix(sector)
     # ARPACK's complex Hermitian solver needs a sector of more than k + 1 = 2
-    if n <= dense_cap or sector.size <= 2:
+    if n <= DENSE_MAX_QUBITS or sector.size <= 2:
         # a sector with no imaginary entry (every real-integral molecular H)
         # is real symmetric, and a real solve costs a quarter of a complex one
         mat = mat.real if not mat.data.imag.any() else mat

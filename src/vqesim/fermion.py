@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -48,6 +47,11 @@ class MolecularIntegrals:
             raise IntegralError("h_one has wrong shape")
         if self.h_two.shape != (n, n, n, n):
             raise IntegralError("h_two has wrong shape")
+        for name in ("orbital_energies", "noons"):
+            a = getattr(self, name)
+            if a is not None and np.shape(a) != (n,):
+                raise IntegralError(f"{name} has shape {np.shape(a)}, "
+                                    f"expected ({n},)")
         if self.n_electrons > 2 * n:
             raise IntegralError("more electrons than spin-orbitals")
         if not np.allclose(self.h_one, self.h_one.T, atol=SYMMETRY_TOL):
@@ -323,9 +327,6 @@ class FermionOperator:
             terms.append((np.conj(c),
                           tuple((i, not d) for i, d in reversed(ops))))
         return FermionOperator.from_terms(self.n_modes, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:

@@ -8,36 +8,26 @@ Conventions used throughout the package:
   so the dense matrix of a string is ``P[q_{n-1}] (x) ... (x) P[q_0]``.
 * On up to 63 qubits a string is also i^k X^x Z^z with bit masks x, z:
   ``string_actions`` and ``PauliSum.from_masks`` convert between the two
-  forms, and ``mask_product`` is the one product rule of strings.
+  forms, and ``mask_product`` is the one product rule of strings, for
+  ``PauliSum.__mul__`` and Jordan-Wigner alike.
 
 A ``PauliSum`` compiles once into its term table (``string_table``, built
-by ``string_actions``), and ``basis_matrix`` assembles every sparse matrix
-of the sum from it: the whole space for <H>, a particle-number sector for
-the exact references.
+by ``string_actions``), and ``basis_matrix`` assembles every matrix of
+the sum from it, always sparse: the whole space for <H>, a
+particle-number sector for the exact references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse
 
 PRUNE_TOL = 1e-14          # |coefficient| that counts as zero, package-wide
-MAX_DENSE_QUBITS = 16      # largest n of PauliSum.to_matrix
 MAX_MASK_QUBITS = 63       # largest n whose strings fit a signed 64-bit mask
 
 LETTERS = "IXYZ"
-
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 _I_POWERS = np.array([1, 1j, -1, -1j])   # i^k for k = 0, 1, 2, 3
 
@@ -92,40 +82,6 @@ def mask_product(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray,
     (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2).
     """
     return x1 ^ x2, z1 ^ z2, 2 * np.bitwise_count(z1 & x2)
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A single Pauli string with an explicit unit phase."""
-
-    n_qubits: int
-    letters: str
-    phase: complex = 1 + 0j
-
-    def __post_init__(self):
-        if self.n_qubits <= 0:
-            raise PauliError("n_qubits must be positive")
-        if len(self.letters) != self.n_qubits:
-            raise PauliError("letters length must equal n_qubits")
-        _check_letters(self.letters)
-        if self.phase not in _PHASES:
-            raise PauliError(f"phase must be one of +/-1, +/-i, got {self.phase}")
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.array([[self.phase]], dtype=complex)
-        for letter in self.letters:
-            m = np.kron(_MATRICES[letter], m)
-        return m
-
-    def __repr__(self):
-        return f"PauliString({self.letters!r}, phase={self.phase})"
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Operator product a*b as a single Pauli string with accumulated phase."""
-    ((letters, phase),) = (PauliSum(a.n_qubits, {a.letters: a.phase})
-                           * PauliSum(b.n_qubits, {b.letters: b.phase})).items()
-    return PauliString(a.n_qubits, letters, phase)
 
 
 class PauliSum:
@@ -272,27 +228,6 @@ class PauliSum:
             self._sparse = self.basis_matrix(np.arange(2 ** self.n_qubits))
         return self._sparse
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix of the sum. Intended as oracle support."""
-        if self.n_qubits > MAX_DENSE_QUBITS:
-            raise PauliError(f"n_qubits={self.n_qubits} exceeds dense cap "
-                             f"{MAX_DENSE_QUBITS}")
-        dim = 2 ** self.n_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for letters, coeff in self._terms.items():
-            out += coeff * PauliString(self.n_qubits, letters).to_matrix()
-        return out
-
-    def render(self) -> str:
-        """Text form, one `<coeff> <letters>` line per term, sorted."""
-        lines = []
-        for letters, coeff in self.sorted_items():
-            if abs(coeff.imag) <= PRUNE_TOL:
-                lines.append(f"{coeff.real:.16g} {letters}")
-            else:
-                lines.append(f"{coeff.real:.16g}{coeff.imag:+.16g}j {letters}")
-        return "\n".join(lines)
-
     @classmethod
     def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,
                    k: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
@@ -313,17 +248,6 @@ class PauliSum:
         text = _LETTER_CODES[x_bits + 2 * z_bits].tobytes().decode("ascii")
         letters = [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
         return cls(n_qubits, dict(zip(letters, total.tolist())))
-
-    @classmethod
-    def parse(cls, text: str, n_qubits: int) -> "PauliSum":
-        terms: Dict[str, complex] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_s, letters = line.split()
-            terms[letters] = terms.get(letters, 0) + complex(coeff_s)
-        return cls(n_qubits, terms)
 
     def __repr__(self):
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self)})"

@@ -7,6 +7,8 @@ acts on rows and columns. Every other operator goes through the kernels
 ``_apply_1q``/``_apply_2q``: on psi a 2x2 matrix u, on rho the 4x4
 superoperator u (x) u*, times an idle channel (amplitude damping, then pure
 dephasing) where the qubit waits in the schedule of ``schedule_circuit``.
+The idle channel has one form: ``_superoperator(_idle_kraus(t, nm))``,
+which the program compiles once per wait length (``_idle_superoperators``).
 
 Both engines run a circuit at a parameter vector theta, never binding it:
 a rotation turns by ``Gate.angle_at(theta)``, as in ``bind``, so the state
@@ -29,8 +31,9 @@ in at most ``_INDEX_CACHE_BYTES``.
 
 Expectation values read the Hamiltonian's compiled form
 (``PauliSum.sparse_matrix`` and ``string_table``), exact and sampled alike
-with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``. The engines run at
-most ``MAX_STATEVECTOR_QUBITS`` and ``MAX_DENSITY_MATRIX_QUBITS`` qubits.
+with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``. Shots are drawn per
+Pauli term from its exact expectation, never as bitstrings. The engines run
+at most ``MAX_STATEVECTOR_QUBITS`` and ``MAX_DENSITY_MATRIX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -398,22 +401,6 @@ def _pauli_expectations(state: Union[Statevector, DensityMatrix],
     return out
 
 
-def sample_bitstrings(state: Union[Statevector, DensityMatrix],
-                      n_shots: int, rng_seed: int) -> list[str]:
-    """i.i.d. Born-rule samples; qubit 0 is the leftmost character."""
-    if n_shots <= 0:
-        raise SimulationError("n_shots must be positive")
-    if isinstance(state, Statevector):
-        p = np.abs(state.amplitudes) ** 2
-    else:
-        p = np.real(np.diag(state.rho))
-    p = np.clip(p, 0.0, None)
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.choice(p.size, size=n_shots, p=p / p.sum())
-    n = state.n_qubits
-    return [format(z, f"0{n}b")[::-1] for z in draws]
-
-
 def expectation_sampled(state: Union[Statevector, DensityMatrix],
                         h: PauliSum, n_shots: int, rng_seed: int) -> float:
     """Shot-based estimate of <H>; n_shots = 0 falls back to the exact value.
@@ -502,20 +489,6 @@ def _idle_kraus(t_ns: float, nm: NoiseModel) -> list[np.ndarray]:
 def _superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     """sum_k K (x) K*: the channel on vector qubits (q + n, q) of rho."""
     return sum(np.kron(e, e.conj()) for e in kraus)
-
-
-def _apply_kraus_1q(rho: np.ndarray, kraus: list[np.ndarray],
-                    q: int) -> np.ndarray:
-    n = rho.shape[0].bit_length() - 1
-    v = _apply_2q(rho.reshape(-1), _superoperator(kraus), q + n, q)
-    return v.reshape(rho.shape)
-
-
-def apply_idle_channel(rho: np.ndarray, q: int, t_ns: float,
-                       nm: NoiseModel) -> np.ndarray:
-    if t_ns <= 0:
-        return rho
-    return _apply_kraus_1q(rho, _idle_kraus(t_ns, nm), q)
 
 
 def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,

@@ -8,9 +8,8 @@ per-run PCG64 stream so identical configurations replay identically.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -18,9 +17,8 @@ import scipy.optimize
 
 from .ansatz import ParameterizedCircuit
 from .pauli import PauliSum
-from .simulator import (DensityMatrix, NoiseModel, expectation_exact,
-                        expectation_sampled, run_density_matrix,
-                        run_statevector)
+from .simulator import (NoiseModel, expectation_exact, expectation_sampled,
+                        run_density_matrix, run_statevector)
 
 COBYLA_RHOBEG = 0.5        # initial trust-region radius
 COBYLA_RHOEND = 1e-6       # final radius; Nelder-Mead's xatol and fatol

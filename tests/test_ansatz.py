@@ -43,13 +43,14 @@ def test_circuit_rejects_negative_parameter_count():
 def test_bind_replaces_all_parameters():
     c = build_he("v2", 4, 1)
     bound = c.bind(np.zeros(c.n_parameters))
-    assert bound.is_bound
+    assert bound.n_parameters == 0
     assert len(bound.gates) == len(c.gates)
     rotations = [g for g in bound.gates if g.kind in ("RX", "RY")]
     assert rotations and all(g.angle == 0.0 for g in rotations)
 
 
 def test_is_bound_agrees_with_a_walk_over_the_gates(toy4_problem):
+    # a circuit is bound, with no parameters, exactly when no gate has one
     circuits = [build_he(v, n, d) for v in ("v1", "v2", "v3")
                 for n in (2, 4, 6) for d in (1, 2)]
     circuits += [trotterize_qucc(build_qucc_generator(m))
@@ -59,8 +60,8 @@ def test_is_bound_agrees_with_a_walk_over_the_gates(toy4_problem):
         bound = c.bind(rng.uniform(-np.pi, np.pi, c.n_parameters))
         for circuit in (c, bound):
             walk = all(g.param is None for g in circuit.gates)
-            assert circuit.is_bound == walk
-        assert not c.is_bound and bound.is_bound
+            assert (circuit.n_parameters == 0) == walk
+        assert c.n_parameters > 0 and bound.n_parameters == 0
 
 
 def test_layout_is_cached_and_names_every_gate():
@@ -180,16 +181,22 @@ def test_generator_layout_doubles_first():
     assert single_terms == 4
 
 
+def generator_matrix(gen, theta):
+    """sum_k theta_k T_k, each operator T_k through the ladder oracle."""
+    return sum(t * fermion_matrix(op) for t, op in zip(theta, gen.operators))
+
+
 def test_generator_zero_theta_is_zero_operator():
     gen = build_qucc_generator(make_h2_like())
-    assert gen.as_operator(np.zeros(gen.n_parameters)).is_zero()
+    assert all(fermion_matrix(op).any() for op in gen.operators)
+    assert not generator_matrix(gen, np.zeros(gen.n_parameters)).any()
 
 
 def test_generator_is_anti_hermitian_as_matrix():
     gen = build_qucc_generator(make_h2_like())
     rng = np.random.default_rng(2)
     theta = rng.normal(size=gen.n_parameters)
-    mat = fermion_matrix(gen.as_operator(theta))
+    mat = generator_matrix(gen, theta)
     np.testing.assert_allclose(mat + mat.conj().T, np.zeros_like(mat),
                                atol=1e-12)
 

@@ -77,6 +77,33 @@ def test_exact_ignored_flag_is_validation_error(tmp_path, toy4_path,
     assert not (tmp_path / "exact.json").exists()
 
 
+@pytest.mark.parametrize("noons", [[2.0, 1.5, 0.5], [2.0, 1.0, 0.5, 0.3, 0.2]],
+                         ids=["short", "long"])
+def test_exact_sidecar_of_wrong_length_is_validation_error(tmp_path, toy4_path,
+                                                           capsys, noons):
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps({"noons": noons}))
+    rc = main(["exact", "--fcidump", toy4_path, "--sidecar", str(side),
+               "--eps1", "0.02", "--eps2", "0.02", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert f"noons has shape ({len(noons)},)" in capsys.readouterr().err
+    assert not (tmp_path / "exact.json").exists()
+
+
+def test_mp2_with_short_orbital_energies_records_integral_error(tmp_path,
+                                                                 toy4_path):
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps({"orbital_energies": [-0.5, 0.3]}))
+    out = tmp_path / "out"
+    rc = main(vqe_args(toy4_path, out, **{"--sidecar": str(side),
+                                          "--ansatz": "qucc",
+                                          "--initial": "mp2",
+                                          "--trials": "1", "--max-iter": "3"}))
+    assert rc == 2
+    (failure,) = read_json(out / "campaign.json")["failures"]
+    assert failure["error"].startswith("IntegralError: orbital_energies")
+
+
 def test_exact_above_qubit_limit_is_validation_error(tmp_path, capsys):
     n = 9   # 18 spin-orbitals, so 18 qubits
     assert 2 * n > MAX_QUBITS

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import vqesim.exact as exact
 from vqesim.exact import (MAX_QUBITS, OneRdm, ReferenceError,
                           _sector_indices, ground_state, one_rdm)
 from vqesim.fermion import (FermionOperator, MolecularIntegrals,
@@ -19,10 +20,11 @@ def test_single_qubit_z_sector():
                                atol=1e-12)
 
 
-def test_sparse_path_on_two_state_sector():
+def test_sparse_path_on_two_state_sector(monkeypatch):
     # one electron on two qubits: a 2 x 2 sector, below ARPACK's minimum
+    monkeypatch.setattr(exact, "DENSE_MAX_QUBITS", 0)
     h = PauliSum(2, {"XX": 0.5, "YY": 0.5, "ZI": 0.3})
-    res = ground_state(h, 1, dense_cap=0)
+    res = ground_state(h, 1)
     assert res.ground_energy == pytest.approx(-np.sqrt(1.09))
 
 
@@ -55,12 +57,14 @@ def test_ground_state_is_eigenvector(h2_problem):
             assert abs(v[z]) < 1e-14
 
 
-def test_sparse_path_matches_dense(h2_problem, toy4_problem):
+def test_sparse_path_matches_dense(h2_problem, toy4_problem, monkeypatch):
     # Lanczos starts from a fixed vector, so repeated calls agree exactly
     for p in (h2_problem, toy4_problem):
         dense = ground_state(p.hamiltonian, p.n_electrons, p.e_core)
-        runs = [ground_state(p.hamiltonian, p.n_electrons, p.e_core,
-                             dense_cap=2) for _ in range(3)]
+        with monkeypatch.context() as m:
+            m.setattr(exact, "DENSE_MAX_QUBITS", 2)
+            runs = [ground_state(p.hamiltonian, p.n_electrons, p.e_core)
+                    for _ in range(3)]
         for run in runs:
             assert run.ground_energy == runs[0].ground_energy
             np.testing.assert_array_equal(run.ground_state.amplitudes,
@@ -97,7 +101,7 @@ def test_complex_sector_keeps_the_complex_solve():
     for n_electrons in (1, 2):
         sector = _sector_indices(4, n_electrons)
         assert h.basis_matrix(sector).data.imag.any()
-        block = h.to_matrix()[np.ix_(sector, sector)]
+        block = pauli_sum_matrix(h.terms, 4)[np.ix_(sector, sector)]
         res = ground_state(h, n_electrons)
         assert abs(res.ground_energy - np.linalg.eigvalsh(block)[0]) <= 1e-12
 

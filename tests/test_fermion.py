@@ -105,6 +105,17 @@ def test_validate_rejects_bad_noons():
         m.validate()
 
 
+# the NOONs sum to the electron count, so only the length is wrong
+@pytest.mark.parametrize("name, values", [
+    ("noons", [2.0]), ("noons", [1.0, 0.5, 0.5]),
+    ("orbital_energies", [-0.5]), ("orbital_energies", [-0.5, 0.2, 0.7]),
+], ids=["noons_short", "noons_long", "energies_short", "energies_long"])
+def test_validate_rejects_sidecar_arrays_of_wrong_length(name, values):
+    m = make_integrals(2, 2, seed=0)
+    with pytest.raises(IntegralError, match=rf"{name} has shape"):
+        apply_sidecar(m, {name: np.array(values)})
+
+
 def test_validate_rejects_asymmetric_h_one():
     m = make_integrals(2, 2, seed=0)
     m.h_one = np.array([[1.0, 0.2], [0.3, 1.0]])
@@ -313,7 +324,7 @@ def test_fermion_operator_dagger_and_zero():
     op = FermionOperator.from_terms(2, [(1.5, ((0, True), (1, False)))])
     dag = op.dagger()
     assert dag.terms == ((1.5, ((1, True), (0, False))),)
-    assert FermionOperator.from_terms(2, [(0.0, ((0, True),))]).is_zero()
+    assert FermionOperator.from_terms(2, [(0.0, ((0, True),))]).terms == ()
 
 
 def test_fermion_operator_index_validation():
@@ -394,7 +405,8 @@ def test_jw_rejects_modes_beyond_a_64_bit_mask():
 
 def test_jw_toy4_hamiltonian_matches_ladder_oracle(toy4_problem):
     ham = build_hamiltonian(toy4_problem.integrals)
-    np.testing.assert_allclose(jordan_wigner(ham).to_matrix(),
+    np.testing.assert_allclose(pauli_sum_matrix(jordan_wigner(ham).terms,
+                                                ham.n_modes),
                                fermion_matrix(ham), rtol=0, atol=1e-12)
 
 

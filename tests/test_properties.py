@@ -8,7 +8,8 @@ from vqesim.ansatz import Gate, ParameterizedCircuit
 from vqesim.fermion import FermionOperator, jordan_wigner
 from vqesim.simulator import NoiseModel, run_density_matrix, run_statevector
 
-from oracles import circuit_unitary, fermion_matrix, noisy_density_matrix
+from oracles import (circuit_unitary, fermion_matrix, noisy_density_matrix,
+                     pauli_sum_matrix)
 
 ONE_QUBIT = ("H", "X", "Y", "Z", "RX", "RY", "RZ")
 
@@ -68,5 +69,6 @@ def fermion_operators(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(fermion_operators())
 def test_jordan_wigner_matches_ladder_oracle(op):
-    np.testing.assert_allclose(jordan_wigner(op).to_matrix(),
+    np.testing.assert_allclose(pauli_sum_matrix(jordan_wigner(op).terms,
+                                                op.n_modes),
                                fermion_matrix(op), rtol=0, atol=1e-12)

@@ -9,16 +9,15 @@ from vqesim.pipeline import build_ansatz
 from vqesim.pauli import PauliSum, string_actions
 from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               Statevector, amplitude_damping_kraus,
-                              apply_idle_channel,
                               dephasing_kraus, expectation_exact,
                               expectation_sampled, run_density_matrix,
-                              run_statevector, sample_bitstrings,
-                              schedule_circuit)
+                              run_statevector, schedule_circuit)
 from vqesim.simulator import (MAX_DENSITY_MATRIX_QUBITS,
                               MAX_STATEVECTOR_QUBITS)
 from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
-                              _apply_1q, _cached_cnot_index, _cnot_index,
-                              _pauli_expectations)
+                              _apply_1q, _apply_2q, _cached_cnot_index,
+                              _cnot_index, _idle_kraus, _pauli_expectations,
+                              _superoperator)
 
 import vqesim.simulator as simulator
 
@@ -340,31 +339,6 @@ def test_sampled_noisy_rho_mean_and_spread():
     assert abs(float(np.std(vals)) / sigma - 1.0) < 0.15
 
 
-def test_sample_bitstrings_basics():
-    shots = sample_bitstrings(Statevector.zero_state(2), 25, rng_seed=0)
-    assert shots == ["00"] * 25
-    same = sample_bitstrings(bell_state(), 100, rng_seed=5)
-    again = sample_bitstrings(bell_state(), 100, rng_seed=5)
-    assert same == again
-    with pytest.raises(SimulationError):
-        sample_bitstrings(bell_state(), 0, rng_seed=0)
-
-
-def test_sample_bitstrings_bell_frequencies():
-    shots = sample_bitstrings(bell_state(), 10_000, rng_seed=7)
-    f00 = shots.count("00") / len(shots)
-    f11 = shots.count("11") / len(shots)
-    assert abs(f00 - 0.5) < 0.02 and abs(f11 - 0.5) < 0.02
-    assert f00 + f11 == 1.0
-
-
-def test_sample_bitstrings_qubit_order():
-    # X on qubit 0 of 3 qubits: bitstring has qubit 0 leftmost
-    c = ParameterizedCircuit(3, (Gate("X", (0,)),), 0)
-    shots = sample_bitstrings(run_statevector(c), 5, rng_seed=1)
-    assert shots == ["100"] * 5
-
-
 # ---------------------------------------------------------------------------
 # noise model and scheduling
 
@@ -467,16 +441,24 @@ def test_kraus_completeness():
             np.testing.assert_allclose(total, np.eye(2), atol=1e-14)
 
 
+def idle(rho, q, t_ns, nm):
+    """rho after qubit q waits t_ns: the superoperator that the noisy program
+    compiles for the wait, applied by the engine's kernel."""
+    n = rho.shape[0].bit_length() - 1
+    s = _superoperator(_idle_kraus(t_ns, nm))
+    return _apply_2q(rho.reshape(-1), s, q + n, q).reshape(rho.shape)
+
+
 def test_idle_fixes_ground_state():
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
-    out = apply_idle_channel(rho, 0, 123_456.0, NoiseModel())
+    out = idle(rho, 0, 123_456.0, NoiseModel())
     np.testing.assert_allclose(out, rho, atol=1e-15)
 
 
 def test_idle_t1_population_decay():
     rho = np.array([[0, 0], [0, 1]], dtype=complex)
     nm = NoiseModel(t1_us=50.0, t2_us=50.0)
-    out = apply_idle_channel(rho, 0, 50_000.0, nm)   # t = T1
+    out = idle(rho, 0, 50_000.0, nm)   # t = T1
     assert abs(out[1, 1].real - np.exp(-1.0)) < 1e-12
 
 
@@ -484,7 +466,7 @@ def test_idle_off_diagonal_t2_prime_decay():
     rho = 0.5 * np.ones((2, 2), dtype=complex)
     nm = NoiseModel(t1_us=50.0, t2_us=50.0)
     t_ns = 20_000.0
-    out = apply_idle_channel(rho, 0, t_ns, nm)
+    out = idle(rho, 0, t_ns, nm)
     expected = 0.5 * np.exp(-(t_ns * 1e-3) / nm.t2_prime_us)
     assert abs(out[0, 1].real - expected) < 1e-12
 
@@ -498,7 +480,7 @@ def test_idle_channel_matches_dense_kraus_oracle():
     for q in range(3):
         kraus = idle_kraus_full(q, 3, 70.0, 0.08, 0.03)
         expected = apply_kraus_full(rho, kraus)
-        got = apply_idle_channel(rho, q, 70.0, nm)
+        got = idle(rho, q, 70.0, nm)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -507,8 +489,8 @@ def test_dephasing_preserves_diagonal():
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v /= np.linalg.norm(v)
     rho = np.outer(v, v.conj())
-    from vqesim.simulator import _apply_kraus_1q
-    out = _apply_kraus_1q(rho, dephasing_kraus(7000.0, 50.0), 0)
+    s = _superoperator(dephasing_kraus(7000.0, 50.0))
+    out = (s @ rho.reshape(-1)).reshape(2, 2)
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-15)
 
 
