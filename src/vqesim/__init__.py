@@ -6,9 +6,9 @@ from .pauli import PauliSum
 from .fermion import (ActiveSpace, FermionOperator, MolecularIntegrals,
                       build_hamiltonian, freeze_orbitals, jordan_wigner,
                       parse_fcidump, select_active_space, write_fcidump)
-from .ansatz import (Gate, ParameterizedCircuit, QuccAmplitudes,
-                     QuccGenerator, build_he, build_qucc_generator,
-                     mp2_initial_amplitudes, trotterize_qucc)
+from .ansatz import (Gate, ParameterizedCircuit, QuccGenerator, build_he,
+                     build_qucc_generator, mp2_initial_amplitudes,
+                     trotterize_qucc)
 from .simulator import (DensityMatrix, NoiseModel, Schedule, Statevector,
                         expectation_exact, expectation_sampled,
                         run_density_matrix, run_statevector,

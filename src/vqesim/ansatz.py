@@ -234,13 +234,13 @@ class QuccGenerator:
 
     excitations[k] is either (p, r) for a single or (p, q, r, s) for a
     double, with p, q unoccupied and r, s occupied spin-orbitals of the
-    Hartree-Fock reference. operators[k] is the matching anti-Hermitian
-    FermionOperator with unit amplitude. Doubles come first, each group
-    in lexicographic order.
+    Hartree-Fock reference, which fills spin-orbitals 0..n_electrons-1.
+    operators[k] is the matching anti-Hermitian FermionOperator with unit
+    amplitude. Doubles come first, each group in lexicographic order.
     """
 
     n_modes: int
-    n_active_electrons: int
+    n_electrons: int
     excitations: tuple[tuple[int, ...], ...]
     operators: tuple[FermionOperator, ...]
 
@@ -273,14 +273,12 @@ def enumerate_excitations(n_modes: int, n_electrons: int):
     return sorted(doubles), sorted(singles)
 
 
-def build_qucc_generator(m: MolecularIntegrals,
-                         n_active_electrons: Optional[int] = None) -> QuccGenerator:
+def build_qucc_generator(m: MolecularIntegrals) -> QuccGenerator:
     """Unit-amplitude anti-Hermitian generator for the frozen integrals."""
-    ne = m.n_electrons if n_active_electrons is None else n_active_electrons
-    if ne <= 0:
+    if m.n_electrons <= 0:
         raise AnsatzError("no active electrons")
     n_modes = 2 * m.n_orbitals
-    doubles, singles = enumerate_excitations(n_modes, ne)
+    doubles, singles = enumerate_excitations(n_modes, m.n_electrons)
     excitations: list[tuple[int, ...]] = []
     operators: list[FermionOperator] = []
     for p, q, r, s in doubles:
@@ -297,41 +295,31 @@ def build_qucc_generator(m: MolecularIntegrals,
         ])
         excitations.append((p, r))
         operators.append(op)
-    return QuccGenerator(n_modes, ne, tuple(excitations), tuple(operators))
-
-
-@dataclass(frozen=True)
-class QuccAmplitudes:
-    singles: dict
-    doubles: dict
-
-    def to_vector(self, gen: QuccGenerator) -> np.ndarray:
-        theta = np.zeros(gen.n_parameters)
-        for k, exc in enumerate(gen.excitations):
-            table = self.doubles if len(exc) == 4 else self.singles
-            theta[k] = table.get(exc, 0.0)
-        return theta
+    return QuccGenerator(n_modes, m.n_electrons, tuple(excitations),
+                         tuple(operators))
 
 
 def mp2_initial_amplitudes(m: MolecularIntegrals,
-                           n_active_electrons: Optional[int] = None
-                           ) -> QuccAmplitudes:
+                           gen: QuccGenerator) -> np.ndarray:
     """Moller-Plesset second-order amplitudes as the qUCC starting point.
 
-    Singles vanish. A double (p, q, r, s) gets
+    Returns theta_0 in ``gen.excitations`` order. Singles get 0. A double
+    (p, q, r, s) gets
         (<pq|sr> - <pq|rs>) / (eps_r + eps_s - eps_p - eps_q)
     over spin-orbitals, evaluated from the spatial chemists' integrals.
     Degenerate denominators yield a zero amplitude with a warning.
     """
     if m.orbital_energies is None:
         raise AnsatzError("MP2 amplitudes require orbital energies")
-    ne = m.n_electrons if n_active_electrons is None else n_active_electrons
+    if (gen.n_modes, gen.n_electrons) != (2 * m.n_orbitals, m.n_electrons):
+        raise AnsatzError("generator does not match the integrals")
     g = m.h_two
     eps = m.orbital_energies
-    doubles_idx, singles_idx = enumerate_excitations(2 * m.n_orbitals, ne)
-    singles = {exc: 0.0 for exc in singles_idx}
-    doubles = {}
-    for p, q, r, s in doubles_idx:
+    theta = np.zeros(gen.n_parameters)
+    for k, exc in enumerate(gen.excitations):
+        if len(exc) != 4:
+            continue
+        p, q, r, s = exc
         ps, qs, rs, ss = p // 2, q // 2, r // 2, s // 2
         # <PQ|SR> = (ps|qr) with spin(P)=spin(S), spin(Q)=spin(R)
         direct = 0.0
@@ -345,12 +333,11 @@ def mp2_initial_amplitudes(m: MolecularIntegrals,
         if abs(denom) < DEGENERACY_TOL:
             if abs(numer) > PRUNE_TOL:
                 warnings.warn(
-                    f"degenerate MP2 denominator for excitation {(p, q, r, s)}; "
+                    f"degenerate MP2 denominator for excitation {exc}; "
                     "amplitude set to 0")
-            doubles[(p, q, r, s)] = 0.0
         else:
-            doubles[(p, q, r, s)] = numer / denom
-    return QuccAmplitudes(singles=singles, doubles=doubles)
+            theta[k] = numer / denom
+    return theta
 
 
 def _pauli_exponential_gates(letters: str, param_index: int,
@@ -380,7 +367,7 @@ def trotterize_qucc(gen: QuccGenerator) -> ParameterizedCircuit:
     Pauli strings i*c*P (c real) becomes one staircase exponential whose RZ
     angle is linear in the excitation's parameter.
     """
-    gates: list[Gate] = [Gate("X", (q,)) for q in range(gen.n_active_electrons)]
+    gates: list[Gate] = [Gate("X", (q,)) for q in range(gen.n_electrons)]
     for k, op in enumerate(gen.operators):
         # anti-Hermitian fermionic input <=> purely imaginary JW coefficients
         jw = jordan_wigner(op)

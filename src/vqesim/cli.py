@@ -108,6 +108,8 @@ def _campaign_points(args):
               len(args.fcidump) > 1]
     if sum(sweeps) > 1:
         raise ValidationError("exactly one sweep axis is allowed")
+    if sweeps[0] and args.noise:
+        raise ValidationError("--noise cannot be given with --t1-list")
     for flag, given in (("--sweep-params", args.sweep_params),
                         ("--sidecar-list", args.sidecar_list)):
         if given and len(args.fcidump) == 1:

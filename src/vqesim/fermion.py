@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -200,22 +200,18 @@ def write_fcidump(m: MolecularIntegrals) -> str:
 
 
 def load_sidecar(path: str) -> dict:
-    """Load the sidecar JSON carrying `noons` and/or `orbital_energies`."""
+    """The sidecar JSON: an object with `noons` and/or `orbital_energies`."""
     with open(path) as fh:
         data = json.load(fh)
-    out = {}
-    if "noons" in data:
-        out["noons"] = np.asarray(data["noons"], dtype=float)
-    if "orbital_energies" in data:
-        out["orbital_energies"] = np.asarray(data["orbital_energies"], dtype=float)
-    return out
+    if not (isinstance(data, dict) and data
+            and set(data) <= {"noons", "orbital_energies"}):
+        raise IntegralError("sidecar must be a JSON object with noons "
+                            "and/or orbital_energies and no other key")
+    return {k: np.asarray(v, dtype=float) for k, v in data.items()}
 
 
 def apply_sidecar(m: MolecularIntegrals, sidecar: dict) -> MolecularIntegrals:
-    if "noons" in sidecar:
-        m.noons = sidecar["noons"]
-    if "orbital_energies" in sidecar:
-        m.orbital_energies = sidecar["orbital_energies"]
+    m = replace(m, **sidecar)
     m.validate()
     return m
 
@@ -271,6 +267,7 @@ def freeze_orbitals(m: MolecularIntegrals, a: ActiveSpace) -> MolecularIntegrals
     idx = np.ix_(act, act)
     h_act = h[idx]
     g_act = g[np.ix_(act, act, act, act)]
+    # no NOONs: the active ones need not sum to the active electron count
     return MolecularIntegrals(
         n_orbitals=len(act),
         n_electrons=a.n_active_electrons,
@@ -279,7 +276,6 @@ def freeze_orbitals(m: MolecularIntegrals, a: ActiveSpace) -> MolecularIntegrals
         h_two=g_act,
         orbital_energies=(None if m.orbital_energies is None
                           else m.orbital_energies[act]),
-        noons=None if m.noons is None else m.noons[act],
     )
 
 

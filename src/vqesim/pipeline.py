@@ -16,7 +16,6 @@ from .fermion import (ActiveSpace, IntegralError, MolecularIntegrals,
                       jordan_wigner, load_sidecar, parse_fcidump,
                       select_active_space)
 from .pauli import PauliSum
-from .simulator import Statevector, expectation_exact
 
 
 @dataclass
@@ -26,7 +25,6 @@ class Problem:
     integrals: MolecularIntegrals     # frozen, active orbitals only
     active_space: ActiveSpace
     hamiltonian: PauliSum             # Jordan-Wigner image, no core energy
-    e_core: float
 
     @property
     def n_qubits(self) -> int:
@@ -35,6 +33,10 @@ class Problem:
     @property
     def n_electrons(self) -> int:
         return self.integrals.n_electrons
+
+    @property
+    def e_core(self) -> float:
+        return self.integrals.e_core
 
 
 def prepare_problem(fcidump_path: str,
@@ -64,8 +66,7 @@ def prepare_problem(fcidump_path: str,
         asp = ActiveSpace(tuple(range(m.n_orbitals)), (), m.n_electrons)
     mf = freeze_orbitals(m, asp)
     h = jordan_wigner(build_hamiltonian(mf))
-    return Problem(integrals=mf, active_space=asp, hamiltonian=h,
-                   e_core=mf.e_core)
+    return Problem(integrals=mf, active_space=asp, hamiltonian=h)
 
 
 def build_ansatz(kind: str, problem: Problem,
@@ -86,17 +87,12 @@ def mp2_vector(problem: Problem, gen: QuccGenerator) -> np.ndarray:
         warnings.warn("orbital energies unavailable; qUCC starts from "
                       "zero amplitudes (Hartree-Fock)")
         return np.zeros(gen.n_parameters)
-    amps = mp2_initial_amplitudes(problem.integrals)
-    return amps.to_vector(gen)
-
-
-def hf_state(n_qubits: int, n_electrons: int) -> Statevector:
-    amp = np.zeros(2 ** n_qubits, dtype=complex)
-    amp[(1 << n_electrons) - 1] = 1.0
-    return Statevector(n_qubits, amp)
+    return mp2_initial_amplitudes(problem.integrals, gen)
 
 
 def hf_energy(problem: Problem) -> float:
-    """Energy of the Hartree-Fock determinant of the active space."""
-    state = hf_state(problem.n_qubits, problem.n_electrons)
-    return problem.e_core + expectation_exact(state, problem.hamiltonian)
+    """Energy of the Hartree-Fock determinant (qubits 0..n_electrons-1):
+    its diagonal entry in ``basis_matrix``, which the sector solve reads."""
+    hf = np.array([(1 << problem.n_electrons) - 1])
+    return problem.e_core + float(
+        problem.hamiltonian.basis_matrix(hf)[0, 0].real)

@@ -99,14 +99,20 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
+        """The keys of ``to_json``, each optional (table-1 values); any
+        other key, or a gate kind not in the table, is an error."""
         data = json.loads(text)
-        if not isinstance(data, dict):
-            raise SimulationError("noise JSON must be an object")
-        durations = dict(TABLE1_DURATIONS_NS)
-        durations.update(data.get("durations_ns", {}))
+        if not (isinstance(data, dict)
+                and isinstance(data.get("durations_ns", {}), dict)):
+            raise SimulationError("noise JSON and durations_ns must be objects")
+        durations = data.get("durations_ns", {})
+        unknown = ((set(data) - {"t1_us", "t2_us", "durations_ns"})
+                   | (set(durations) - set(TABLE1_DURATIONS_NS)))
+        if unknown:
+            raise SimulationError(f"unknown noise keys: {sorted(unknown)}")
         return cls(t1_us=data.get("t1_us", TABLE1_T1_US),
                    t2_us=data.get("t2_us", TABLE1_T2_US),
-                   durations_ns=durations)
+                   durations_ns={**TABLE1_DURATIONS_NS, **durations})
 
     def to_json(self) -> str:
         return json.dumps({"t1_us": self.t1_us, "t2_us": self.t2_us,

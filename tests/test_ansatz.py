@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from vqesim.ansatz import (AnsatzError, Gate, Layout, ParameterizedCircuit,
-                           QuccAmplitudes, build_he, build_qucc_generator,
+                           build_he, build_qucc_generator,
                            enumerate_excitations, he_parameter_count,
                            mp2_initial_amplitudes, trotterize_qucc)
 from vqesim.fermion import MolecularIntegrals, parse_fcidump
@@ -202,8 +202,10 @@ def test_generator_is_anti_hermitian_as_matrix():
 
 
 def test_generator_requires_electrons():
+    m = make_h2_like()
+    m.n_electrons = 0
     with pytest.raises(AnsatzError):
-        build_qucc_generator(make_h2_like(), n_active_electrons=0)
+        build_qucc_generator(m)
 
 
 def make_h2_like():
@@ -223,55 +225,92 @@ def make_h2_like():
 # ---------------------------------------------------------------------------
 # MP2 amplitudes
 
+def mp2_theta(m):
+    return mp2_initial_amplitudes(m, build_qucc_generator(m))
+
+
 def test_mp2_singles_vanish():
-    amps = mp2_initial_amplitudes(make_h2_like())
-    assert all(v == 0.0 for v in amps.singles.values())
+    m = make_h2_like()
+    gen = build_qucc_generator(m)
+    theta = mp2_initial_amplitudes(m, gen)
+    assert theta.shape == (gen.n_parameters,)
+    assert all(theta[k] == 0.0 for k, exc in enumerate(gen.excitations)
+               if len(exc) == 2)
 
 
 def test_mp2_double_matches_hand_formula():
     m = make_h2_like()
-    amps = mp2_initial_amplitudes(m)
+    theta = mp2_theta(m)
     # (p,q,r,s) = (3,2,1,0): the direct term <PQ|SR> pairs opposite spins
     # and vanishes; the exchange term survives as -(10|10) spatial, with
-    # denominator 2(eps_0 - eps_1)
+    # denominator 2(eps_0 - eps_1). The vector follows gen.excitations:
+    # ((3, 2, 1, 0), (2, 0), (3, 1)).
     expected = -m.h_two[1, 0, 1, 0] / (2 * (m.orbital_energies[0]
                                             - m.orbital_energies[1]))
-    assert abs(amps.doubles[(3, 2, 1, 0)] - expected) < 1e-14
-    assert abs(amps.doubles[(3, 2, 1, 0)] - 0.07260361) < 1e-7
+    np.testing.assert_allclose(theta, [expected, 0.0, 0.0], rtol=0,
+                               atol=1e-14)
+    assert abs(theta[0] - 0.07260361) < 1e-7
+
+
+def spin_orbital_integrals(m):
+    """<PQ|RS> over interleaved spin-orbitals: (pr|qs) when the spins of
+    P, R and of Q, S agree, else 0."""
+    n = 2 * m.n_orbitals
+    spatial = np.arange(n) // 2
+    spin = np.arange(n) % 2
+    g = m.h_two[np.ix_(spatial, spatial, spatial, spatial)]   # (PQ|RS)
+    same = spin[:, None] == spin[None, :]
+    return (g.transpose(0, 2, 1, 3)
+            * same[:, None, :, None] * same[None, :, None, :])
+
+
+def test_mp2_vector_matches_spin_orbital_formula(toy4_problem):
+    # every entry in gen.excitations order against the hand formula
+    # (<pq|sr> - <pq|rs>) / (eps_r + eps_s - eps_p - eps_q) read from a
+    # spin-orbital tensor built here
+    m = toy4_problem.integrals
+    gen = build_qucc_generator(m)
+    theta = mp2_initial_amplitudes(m, gen)
+    v = spin_orbital_integrals(m)
+    eps = np.repeat(m.orbital_energies, 2)
+    expected = [0.0 if len(exc) == 2 else
+                (v[exc[0], exc[1], exc[3], exc[2]]
+                 - v[exc[0], exc[1], exc[2], exc[3]])
+                / (eps[exc[2]] + eps[exc[3]] - eps[exc[0]] - eps[exc[1]])
+                for exc in gen.excitations]
+    assert any(e != 0.0 for e in expected)
+    np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-14)
 
 
 def test_mp2_symmetric_numerator_gives_zero():
     m = make_h2_like()
-    # same-spin double (if it existed) has direct == exchange; emulate by
-    # checking the antisymmetrized numerator directly on equal integrals
     g = np.full((2, 2, 2, 2), 0.25)
     m2 = MolecularIntegrals(2, 4, 0.0, m.h_one, g,
                             orbital_energies=m.orbital_energies)
     # with 4 electrons in 2 orbitals there are no excitations at all
-    amps = mp2_initial_amplitudes(m2, n_active_electrons=4)
-    assert amps.doubles == {}
+    assert mp2_theta(m2).shape == (0,)
 
 
 def test_mp2_degenerate_denominator_warns_and_zeroes():
     m = make_h2_like()
     m.orbital_energies = np.array([0.3, 0.3])
     with pytest.warns(UserWarning):
-        amps = mp2_initial_amplitudes(m)
-    assert amps.doubles[(3, 2, 1, 0)] == 0.0
+        theta = mp2_theta(m)
+    assert theta[0] == 0.0
 
 
 def test_mp2_requires_orbital_energies():
     m = make_h2_like()
+    gen = build_qucc_generator(m)
     m.orbital_energies = None
     with pytest.raises(AnsatzError):
-        mp2_initial_amplitudes(m)
+        mp2_initial_amplitudes(m, gen)
 
 
-def test_amplitudes_to_vector_order():
-    gen = build_qucc_generator(make_h2_like())
-    amps = QuccAmplitudes(singles={(2, 0): 0.1, (3, 1): 0.2},
-                          doubles={(3, 2, 1, 0): 0.3})
-    np.testing.assert_allclose(amps.to_vector(gen), [0.3, 0.1, 0.2])
+def test_mp2_rejects_a_generator_of_other_integrals(toy4_problem):
+    with pytest.raises(AnsatzError, match="does not match"):
+        mp2_initial_amplitudes(make_h2_like(),
+                               build_qucc_generator(toy4_problem.integrals))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,40 @@ def test_exact_sidecar_of_wrong_length_is_validation_error(tmp_path, toy4_path,
     assert not (tmp_path / "exact.json").exists()
 
 
+@pytest.mark.parametrize("eps2, active", [("0.001", ["0", "1", "2"]),
+                                          ("0.02", ["0", "1"])])
+def test_exact_noon_selection_matches_the_active_run(tmp_path, toy4_path,
+                                                     toy4_sidecar_path, eps2,
+                                                     active):
+    # the dropped virtual orbitals hold NOON > 0, so the active NOONs do not
+    # sum to the active electron count; selection must still succeed
+    by_noons, by_active = tmp_path / "noons.json", tmp_path / "active.json"
+    assert main(["exact", "--fcidump", toy4_path, "--sidecar",
+                 toy4_sidecar_path, "--eps1", "0.02", "--eps2", eps2,
+                 "--out", str(by_noons)]) == 0
+    assert main(["exact", "--fcidump", toy4_path, "--active", *active,
+                 "--out", str(by_active)]) == 0
+    assert read_json(by_noons) == read_json(by_active)
+    assert read_json(by_noons)["n_qubits"] == 2 * len(active)
+
+
+@pytest.mark.parametrize("content", [
+    '{"orbital_energy": [-0.5, 0.1, 0.3, 0.6]}',
+    '{"noons": [1.9995, 1.9972, 0.0027, 0.0006], "note": "x"}',
+    '[1.9995, 1.9972, 0.0027, 0.0006]',
+    '{}',
+], ids=["misspelt_key", "extra_key", "bare_list", "empty_object"])
+def test_exact_bad_sidecar_is_validation_error(tmp_path, toy4_path, capsys,
+                                               content):
+    side = tmp_path / "side.json"
+    side.write_text(content)
+    rc = main(["exact", "--fcidump", toy4_path, "--sidecar", str(side),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "sidecar" in capsys.readouterr().err
+    assert not (tmp_path / "exact.json").exists()
+
+
 def test_mp2_with_short_orbital_energies_records_integral_error(tmp_path,
                                                                  toy4_path):
     side = tmp_path / "side.json"
@@ -183,6 +217,9 @@ def test_invalid_count_is_validation_error(tmp_path, h2_path, capsys,
     ("vqe", "--noise", "text_t1.json"),
     ("vqe", "--noise", "list.json"),
     ("vqe", "--noise", "nan_cnot.json"),
+    ("vqe", "--noise", "unknown_key.json"),
+    ("vqe", "--noise", "unknown_gate.json"),
+    ("vqe", "--noise", "durations_list.json"),
 ])
 def test_invalid_noise_is_validation_error(tmp_path, h2_path, capsys,
                                            command, flag, value):
@@ -192,6 +229,10 @@ def test_invalid_noise_is_validation_error(tmp_path, h2_path, capsys,
     (tmp_path / "list.json").write_text('[50.0]')
     # json reads a bare NaN; it would drop every idle channel
     (tmp_path / "nan_cnot.json").write_text('{"durations_ns": {"CNOT": NaN}}')
+    # keys that would be dropped or kept unused: T1 would stay at 50 us
+    (tmp_path / "unknown_key.json").write_text('{"t1": 10.0}')
+    (tmp_path / "unknown_gate.json").write_text('{"durations_ns": {"CX": 300}}')
+    (tmp_path / "durations_list.json").write_text('{"durations_ns": [150]}')
     if flag == "--noise":
         value = str(tmp_path / value)
     out = tmp_path / "out"
@@ -269,6 +310,18 @@ def test_sweep_t1(tmp_path, h2_path):
     assert main(argv) == 0
     assert (tmp_path / "point_t1_100.json").exists()
     assert (tmp_path / "point_t1_1000.json").exists()
+
+
+def test_sweep_t1_with_noise_is_validation_error(tmp_path, h2_path, capsys):
+    noise = tmp_path / "noise.json"
+    noise.write_text('{"durations_ns": {"CNOT": 5000.0}}')
+    out = tmp_path / "out"
+    argv = vqe_args(h2_path, out, **{"--noise": str(noise), "--trials": "1"})
+    argv[0] = "sweep-t1"
+    argv.extend(["--t1-list", "20"])
+    assert main(argv) == 1
+    assert "--noise cannot be given with --t1-list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_conflicting_sweep_axes_rejected(tmp_path, h2_path):

@@ -98,6 +98,19 @@ def test_sidecar_round_trip(tmp_path, h2_path):
     np.testing.assert_allclose(m.orbital_energies, [-0.5, 0.7])
 
 
+@pytest.mark.parametrize("content", [
+    '{"orbital_energy": [-0.5, 0.7]}',
+    '{"noons": [1.9, 0.1], "extra": 1}',
+    '[1.9, 0.1]',
+    '{}',
+], ids=["misspelt_key", "extra_key", "bare_list", "empty_object"])
+def test_load_sidecar_rejects_anything_but_its_two_keys(tmp_path, content):
+    side = tmp_path / "side.json"
+    side.write_text(content)
+    with pytest.raises(IntegralError, match="sidecar"):
+        load_sidecar(str(side))
+
+
 def test_validate_rejects_bad_noons():
     m = make_integrals(2, 2, seed=0)
     m.noons = np.array([1.0, 0.5])
