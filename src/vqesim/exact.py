@@ -4,8 +4,12 @@ The sector Hamiltonian comes from the compiled form of the PauliSum
 (``PauliSum.basis_matrix`` on the sector's basis indices). Up to
 ``DENSE_MAX_QUBITS`` it is solved densely, in real arithmetic when no
 entry has an imaginary part (as for every real-integral molecular
-Hamiltonian); above, by complex Lanczos. The CLI reads the limit
-``MAX_QUBITS`` of a reference.
+Hamiltonian), and one (N_alpha, N_beta) block at a time when no entry
+joins two blocks (as for every spin-conserving H): the largest block is
+a fraction of the sector, and a dense solve costs the cube of its size.
+Above, complex Lanczos runs on the whole particle-number sector, whose
+cost is linear in the stored entries, so splitting it saves nothing. The
+CLI reads the limit ``MAX_QUBITS`` of a reference.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
+from .ansatz import _spin
 from .fermion import FermionOperator, jordan_wigner
 from .pauli import PauliSum
 from .simulator import Statevector, expectation_exact
@@ -48,15 +53,30 @@ def _sector_indices(n_qubits: int, n_electrons: int) -> np.ndarray:
     return idx[np.bitwise_count(idx) == n_electrons]
 
 
+def _spin_blocks(n_qubits: int, sector: np.ndarray,
+                 mat: scipy.sparse.csr_array) -> list[np.ndarray]:
+    """Positions in ``sector`` of each (N_alpha, N_beta) block, ascending
+    in N_alpha; the whole sector as one block if a stored entry of ``mat``
+    joins two blocks. N_alpha counts the occupied alpha spin-orbitals."""
+    alpha = sum(1 << q for q in range(n_qubits) if _spin(q) == 0)
+    label = np.bitwise_count(sector & alpha)
+    rows = np.repeat(np.arange(sector.size), np.diff(mat.indptr))
+    if (label[rows] != label[mat.indices]).any():
+        return [np.arange(sector.size)]
+    return [np.flatnonzero(label == a) for a in np.unique(label)]
+
+
 def ground_state(h: PauliSum, n_electrons: int,
                  e_core: float = 0.0) -> SpectrumResult:
     """Lowest eigenpair of H restricted to the fixed particle-number sector.
 
     The sector matrix is ``h.basis_matrix`` on the sector's basis indices.
-    Dense Hermitian solve for the lowest eigenpair only up to
-    DENSE_MAX_QUBITS qubits, on the real part of the matrix when it has no
-    imaginary entry; Lanczos (ARPACK) above, from a fixed seeded start
-    vector so that repeated calls agree exactly.
+    Up to DENSE_MAX_QUBITS qubits (or on a sector of at most 2 states), a
+    dense Hermitian solve for the lowest eigenpair of each spin block of
+    ``_spin_blocks``, on the real part of the matrix when it has no
+    imaginary entry; the lowest block wins, the lower N_alpha on an exact
+    tie. Above, Lanczos (ARPACK) on the whole sector, from a fixed seeded
+    start vector so that repeated calls agree exactly.
     """
     n = h.n_qubits
     if n > MAX_QUBITS:
@@ -66,20 +86,24 @@ def ground_state(h: PauliSum, n_electrons: int,
     sector = _sector_indices(n, n_electrons)
     mat = h.basis_matrix(sector)
     # ARPACK's complex Hermitian solver needs a sector of more than k + 1 = 2
-    if n <= DENSE_MAX_QUBITS or sector.size <= 2:
-        # a sector with no imaginary entry (every real-integral molecular H)
-        # is real symmetric, and a real solve costs a quarter of a complex one
-        mat = mat.real if not mat.data.imag.any() else mat
-        mat = mat.toarray()   # frees the CSR before the dense solve
-        evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
-    else:
+    if n > DENSE_MAX_QUBITS and sector.size > 2:
         v0 = np.random.default_rng(0).standard_normal(sector.size)
         evals, evecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA",
                                                  tol=LANCZOS_TOL, v0=v0)
-    energy, vec = float(evals[0]), evecs[:, 0]
+        energy, vec, support = evals[0], evecs[:, 0], sector
+    else:
+        # a sector with no imaginary entry (every real-integral molecular H)
+        # is real symmetric, and a real solve costs a quarter of a complex one
+        mat = mat.real if not mat.data.imag.any() else mat
+        energy = np.inf
+        for block in _spin_blocks(n, sector, mat):
+            evals, evecs = scipy.linalg.eigh(mat[block][:, block].toarray(),
+                                             subset_by_index=[0, 0])
+            if evals[0] < energy:
+                energy, vec, support = evals[0], evecs[:, 0], sector[block]
     full = np.zeros(2 ** n, dtype=complex)
-    full[sector] = vec
-    return SpectrumResult(ground_energy=energy + e_core,
+    full[support] = vec
+    return SpectrumResult(ground_energy=float(energy) + e_core,
                           ground_state=Statevector(n, full),
                           sector=n_electrons)
 

@@ -49,9 +49,14 @@ class MolecularIntegrals:
             raise IntegralError("h_two has wrong shape")
         for name in ("orbital_energies", "noons"):
             a = getattr(self, name)
-            if a is not None and np.shape(a) != (n,):
+            if a is None:
+                continue
+            if np.shape(a) != (n,):
                 raise IntegralError(f"{name} has shape {np.shape(a)}, "
                                     f"expected ({n},)")
+            # NaN passes the NOON sum check and every selection threshold
+            if not np.isfinite(a).all():
+                raise IntegralError(f"{name} has a non-finite entry")
         if self.n_electrons > 2 * n:
             raise IntegralError("more electrons than spin-orbitals")
         if not np.allclose(self.h_one, self.h_one.T, atol=SYMMETRY_TOL):

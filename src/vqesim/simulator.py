@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -79,11 +80,13 @@ class NoiseModel:
     durations_ns: dict = field(default_factory=lambda: dict(TABLE1_DURATIONS_NS))
 
     def __post_init__(self):
-        # NaN fails every comparison, so it is ruled out by name
-        if not all(math.isfinite(t) and t > 0 for t in
+        # NaN fails every comparison, so it is ruled out by name; a bool is
+        # an int, so JSON's true would pass as 1
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   and math.isfinite(t) and t > 0 for t in
                    (self.t1_us, self.t2_us, *self.durations_ns.values())):
             raise SimulationError(
-                "T1, T2 and gate durations must be finite and positive")
+                "T1, T2 and gate durations must be finite positive numbers")
         if self.t2_us > 2 * self.t1_us + 1e-12:
             raise SimulationError("unphysical times: T2 > 2*T1")
 

@@ -90,6 +90,25 @@ def test_exact_sidecar_of_wrong_length_is_validation_error(tmp_path, toy4_path,
     assert not (tmp_path / "exact.json").exists()
 
 
+@pytest.mark.parametrize("content", [
+    '{"noons": [NaN, 1.9972, 0.0027, 0.0006]}',
+    '{"noons": [Infinity, 1.9972, 0.0027, 0.0006]}',
+    '{"orbital_energies": [-0.5, NaN, 0.3, 0.6]}',
+    '{"orbital_energies": [-0.5, 0.1, -Infinity, 0.6]}',
+], ids=["nan_noon", "inf_noon", "nan_energy", "inf_energy"])
+def test_exact_non_finite_sidecar_is_validation_error(tmp_path, toy4_path,
+                                                      capsys, content):
+    # a NaN NOON passes the sum check and is dropped as a virtual orbital
+    side = tmp_path / "side.json"
+    side.write_text(content)
+    rc = main(["exact", "--fcidump", toy4_path, "--sidecar", str(side),
+               "--eps1", "0.02", "--eps2", "0.001", "--out-dir",
+               str(tmp_path)])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "exact.json").exists()
+
+
 @pytest.mark.parametrize("eps2, active", [("0.001", ["0", "1", "2"]),
                                           ("0.02", ["0", "1"])])
 def test_exact_noon_selection_matches_the_active_run(tmp_path, toy4_path,
@@ -217,6 +236,8 @@ def test_invalid_count_is_validation_error(tmp_path, h2_path, capsys,
     ("vqe", "--noise", "text_t1.json"),
     ("vqe", "--noise", "list.json"),
     ("vqe", "--noise", "nan_cnot.json"),
+    ("vqe", "--noise", "bool_times.json"),
+    ("vqe", "--noise", "bool_cnot.json"),
     ("vqe", "--noise", "unknown_key.json"),
     ("vqe", "--noise", "unknown_gate.json"),
     ("vqe", "--noise", "durations_list.json"),
@@ -229,6 +250,9 @@ def test_invalid_noise_is_validation_error(tmp_path, h2_path, capsys,
     (tmp_path / "list.json").write_text('[50.0]')
     # json reads a bare NaN; it would drop every idle channel
     (tmp_path / "nan_cnot.json").write_text('{"durations_ns": {"CNOT": NaN}}')
+    # a JSON true is a Python bool, an int: it would read as 1 us or 1 ns
+    (tmp_path / "bool_times.json").write_text('{"t1_us": true, "t2_us": true}')
+    (tmp_path / "bool_cnot.json").write_text('{"durations_ns": {"CNOT": true}}')
     # keys that would be dropped or kept unused: T1 would stay at 50 us
     (tmp_path / "unknown_key.json").write_text('{"t1": 10.0}')
     (tmp_path / "unknown_gate.json").write_text('{"durations_ns": {"CX": 300}}')

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +14,11 @@ from vqesim.pauli import PauliSum
 from vqesim.simulator import Statevector
 
 from oracles import fermion_matrix, pauli_sum_matrix, sector_ground_energy
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
+                                "perfbench"))
+
+import pimodel  # noqa: E402
 
 
 def test_single_qubit_z_sector():
@@ -194,3 +202,54 @@ def test_sector_indices_match_a_per_state_count(n_qubits):
                     if bin(z).count("1") == n_electrons]
         np.testing.assert_array_equal(
             _sector_indices(n_qubits, n_electrons), expected)
+
+
+def _n_sector_solve(h, n_electrons):
+    """The two lowest eigenpairs of the whole particle-number sector."""
+    sector = _sector_indices(h.n_qubits, n_electrons)
+    evals, evecs = scipy.linalg.eigh(h.basis_matrix(sector).toarray(),
+                                     subset_by_index=[0, 1])
+    full = np.zeros((2 ** h.n_qubits, 2), dtype=complex)
+    full[sector] = evecs
+    return evals, full
+
+
+def _n_alpha(amplitudes):
+    # alpha spin-orbitals are the even qubits
+    z = np.flatnonzero(np.abs(amplitudes) > 1e-14)
+    return set(np.bitwise_count(z & 0x5555).tolist())
+
+
+def test_spin_blocks_match_the_n_sector_solve(h2_problem, toy4_problem):
+    # the 12-qubit full pi space of the he_ensemble benchmark input
+    model = pimodel.build_model(3, 1.60)
+    pi12 = jordan_wigner(build_hamiltonian(model.mo_integrals()))
+    for h, n_electrons in ((h2_problem.hamiltonian, 2),
+                           (toy4_problem.hamiltonian, 4), (pi12, 6)):
+        evals, evecs = _n_sector_solve(h, n_electrons)
+        assert evals[1] - evals[0] > 1e-6        # a unique ground state
+        res = ground_state(h, n_electrons)
+        assert abs(res.ground_energy - evals[0]) <= 1e-10
+        overlap = np.vdot(evecs[:, 0], res.ground_state.amplitudes)
+        assert abs(abs(overlap) - 1.0) <= 1e-10
+        assert len(_n_alpha(res.ground_state.amplitudes)) == 1
+
+
+@pytest.mark.parametrize("name, n_electrons", [("h2", 1), ("toy4", 3)])
+def test_tied_spin_blocks(request, name, n_electrons):
+    # an odd electron count: the ground level holds both spin projections,
+    # so blocks N_alpha and N_alpha + 1 tie for the lowest energy
+    h = request.getfixturevalue(f"{name}_problem").hamiltonian
+    n = h.n_qubits
+    evals, evecs = _n_sector_solve(h, n_electrons)
+    assert evals[1] - evals[0] <= 1e-10
+    runs = [ground_state(h, n_electrons) for _ in range(2)]
+    res, v = runs[0], runs[0].ground_state.amplitudes
+    assert abs(res.ground_energy - evals[0]) <= 1e-10
+    resid = pauli_sum_matrix(h.terms, n) @ v - res.ground_energy * v
+    assert np.linalg.norm(resid) <= 1e-10
+    np.testing.assert_array_equal(runs[1].ground_state.amplitudes, v)
+    assert len(_n_alpha(v)) == 1
+    noons = one_rdm(res.ground_state, n // 2).noons
+    noons_ref = one_rdm(Statevector(n, evecs[:, 0]), n // 2).noons
+    np.testing.assert_allclose(noons, noons_ref, rtol=0, atol=1e-10)

@@ -129,6 +129,16 @@ def test_validate_rejects_sidecar_arrays_of_wrong_length(name, values):
         apply_sidecar(m, {name: np.array(values)})
 
 
+@pytest.mark.parametrize("name", ["noons", "orbital_energies"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_sidecar_arrays(name, bad):
+    m = make_integrals(2, 2, seed=0)
+    values = np.array([1.5, 0.5]) if name == "noons" else np.array([-0.5, 0.2])
+    values[0] = bad
+    with pytest.raises(IntegralError, match=rf"{name} has a non-finite"):
+        apply_sidecar(m, {name: values})
+
+
 def test_validate_rejects_asymmetric_h_one():
     m = make_integrals(2, 2, seed=0)
     m.h_one = np.array([[1.0, 0.2], [0.3, 1.0]])

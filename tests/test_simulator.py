@@ -371,6 +371,27 @@ def test_noise_model_rejects_nan_and_inf(bad):
             NoiseModel(durations_ns=durations)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "50", None],
+                         ids=["bool", "numpy_bool", "text", "none"])
+def test_noise_model_rejects_non_real_times(bad):
+    # a bool is an int: True would pass the positivity check as 1
+    with pytest.raises(SimulationError, match="numbers"):
+        NoiseModel(t1_us=bad, t2_us=1.0)
+    with pytest.raises(SimulationError, match="numbers"):
+        NoiseModel(t1_us=50.0, t2_us=bad)
+    for kind in ("CNOT", "RZ"):
+        durations = {**NoiseModel().durations_ns, kind: bad}
+        with pytest.raises(SimulationError, match="numbers"):
+            NoiseModel(durations_ns=durations)
+
+
+@pytest.mark.parametrize("text", ['{"t1_us": true, "t2_us": true}',
+                                  '{"durations_ns": {"CNOT": true}}'])
+def test_noise_json_rejects_booleans(text):
+    with pytest.raises(SimulationError, match="numbers"):
+        NoiseModel.from_json(text)
+
+
 def test_noise_model_json_round_trip():
     nm = NoiseModel(t1_us=80.0, t2_us=70.0)
     nm2 = NoiseModel.from_json(nm.to_json())
