@@ -1,15 +1,18 @@
 """Exact references: sector-restricted diagonalization, 1-RDM and NOONs.
 
 The sector Hamiltonian comes from the compiled form of the PauliSum
-(``PauliSum.basis_matrix`` on the sector's basis indices). Up to
-``DENSE_MAX_QUBITS`` it is solved densely, in real arithmetic when no
-entry has an imaginary part (as for every real-integral molecular
-Hamiltonian), and one (N_alpha, N_beta) block at a time when no entry
-joins two blocks (as for every spin-conserving H): the largest block is
-a fraction of the sector, and a dense solve costs the cube of its size.
-Above, complex Lanczos runs on the whole particle-number sector, whose
-cost is linear in the stored entries, so splitting it saves nothing. The
-CLI reads the limit ``MAX_QUBITS`` of a reference.
+(``PauliSum.basis_matrix`` on the sector's basis indices): its upper
+triangle U, real when H is (as for every real-integral molecular
+Hamiltonian), so that each solve runs in U's dtype. Up to
+``DENSE_MAX_QUBITS`` it is solved densely from U's upper triangle, one
+(N_alpha, N_beta) block at a time when no entry joins two blocks (as for
+every spin-conserving H): the largest block is a fraction of the sector,
+and a dense solve costs the cube of its size. Above, Lanczos runs on the
+whole particle-number sector with H = U + U^dagger - diag(U) applied as
+one operator, whose cost is linear in the stored entries, so splitting
+it saves nothing. A non-Hermitian sum is refused, since a solve that
+reads one triangle would return a number for it. The CLI reads the limit
+``MAX_QUBITS`` of a reference.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import scipy.sparse.linalg
 
 from .ansatz import _spin
 from .fermion import FermionOperator, jordan_wigner
-from .pauli import PauliSum
+from .pauli import HERMITIAN_TOL, PauliSum
 from .simulator import Statevector, expectation_exact
 
 MAX_QUBITS = 16            # largest qubit count of a reference
@@ -66,39 +69,55 @@ def _spin_blocks(n_qubits: int, sector: np.ndarray,
     return [np.flatnonzero(label == a) for a in np.unique(label)]
 
 
+def _hermitian_operator(upper: scipy.sparse.csr_array
+                        ) -> scipy.sparse.linalg.LinearOperator:
+    """H = U + U^dagger - diag(U) from its upper triangle U, as one
+    operator in U's dtype; the full H is never stored."""
+    lower, diag = upper.T, upper.diagonal()
+
+    def matvec(x):
+        x = np.ravel(x)
+        return upper @ x + (lower @ x.conj()).conj() - diag * x
+
+    return scipy.sparse.linalg.LinearOperator(upper.shape, matvec=matvec,
+                                              dtype=upper.dtype)
+
+
 def ground_state(h: PauliSum, n_electrons: int,
                  e_core: float = 0.0) -> SpectrumResult:
     """Lowest eigenpair of H restricted to the fixed particle-number sector.
 
-    The sector matrix is ``h.basis_matrix`` on the sector's basis indices.
-    Up to DENSE_MAX_QUBITS qubits (or on a sector of at most 2 states), a
-    dense Hermitian solve for the lowest eigenpair of each spin block of
-    ``_spin_blocks``, on the real part of the matrix when it has no
-    imaginary entry; the lowest block wins, the lower N_alpha on an exact
-    tie. Above, Lanczos (ARPACK) on the whole sector, from a fixed seeded
-    start vector so that repeated calls agree exactly.
+    The sector matrix is ``h.basis_matrix`` on the sector's basis indices:
+    the upper triangle U of H, real when H is. Up to DENSE_MAX_QUBITS
+    qubits (or on a sector of at most 2 states), a dense Hermitian solve
+    of U's upper triangle for the lowest eigenpair of each spin block of
+    ``_spin_blocks``; the lowest block wins, the lower N_alpha on an exact
+    tie. Above, Lanczos (ARPACK) on the whole sector with H = U +
+    U^dagger - diag(U) as one operator, from a fixed seeded start vector
+    so that repeated calls agree exactly. A non-Hermitian sum is refused.
     """
     n = h.n_qubits
     if n > MAX_QUBITS:
         raise ReferenceError(f"{n} qubits exceeds cap {MAX_QUBITS}")
     if not 0 <= n_electrons <= n:
         raise ReferenceError(f"empty sector: {n_electrons} electrons on {n} qubits")
+    if not h.is_hermitian(HERMITIAN_TOL):
+        raise ReferenceError("a reference requires a Hermitian PauliSum")
     sector = _sector_indices(n, n_electrons)
-    mat = h.basis_matrix(sector)
+    upper = h.basis_matrix(sector)
     # ARPACK's complex Hermitian solver needs a sector of more than k + 1 = 2
     if n > DENSE_MAX_QUBITS and sector.size > 2:
         v0 = np.random.default_rng(0).standard_normal(sector.size)
-        evals, evecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA",
-                                                 tol=LANCZOS_TOL, v0=v0)
+        evals, evecs = scipy.sparse.linalg.eigsh(
+            _hermitian_operator(upper), k=1, which="SA", tol=LANCZOS_TOL,
+            v0=v0)
         energy, vec, support = evals[0], evecs[:, 0], sector
     else:
-        # a sector with no imaginary entry (every real-integral molecular H)
-        # is real symmetric, and a real solve costs a quarter of a complex one
-        mat = mat.real if not mat.data.imag.any() else mat
         energy = np.inf
-        for block in _spin_blocks(n, sector, mat):
-            evals, evecs = scipy.linalg.eigh(mat[block][:, block].toarray(),
-                                             subset_by_index=[0, 0])
+        for block in _spin_blocks(n, sector, upper):
+            evals, evecs = scipy.linalg.eigh(
+                upper[block][:, block].toarray(), lower=False,
+                subset_by_index=[0, 0])
             if evals[0] < energy:
                 energy, vec, support = evals[0], evecs[:, 0], sector[block]
     full = np.zeros(2 ** n, dtype=complex)

@@ -14,7 +14,12 @@ Conventions used throughout the package:
 A ``PauliSum`` compiles once into its term table (``string_table``, built
 by ``string_actions``), and ``basis_matrix`` assembles every matrix of
 the sum from it, always sparse: the whole space for <H>, a
-particle-number sector for the exact references.
+particle-number sector for the exact references. Each such matrix is
+the upper triangle U of the Hermitian H with its diagonal, and every
+reader rebuilds H = U + U^dagger - diag(U). U is real (float64) when H
+is, as for every real-integral molecular Hamiltonian, and its indices
+are int32: a quarter of the bytes of a full complex CSR with int64
+indices.
 """
 
 from __future__ import annotations
@@ -98,6 +103,7 @@ class PauliSum:
         self.n_qubits = n_qubits
         self._terms: Dict[str, complex] = {}
         self._sparse = None
+        self._diagonal = None
         self._table = None
         self._max_imag = None
         if terms:
@@ -190,31 +196,42 @@ class PauliSum:
         return self._table
 
     def basis_matrix(self, basis: np.ndarray) -> scipy.sparse.csr_array:
-        """H on the distinct basis indices ``basis``, as a CSR matrix.
+        """Upper triangle U of H on the distinct basis indices ``basis``.
 
-        Entry (i, j) is <basis[i]|H|basis[j]>. Terms sharing a flip mask f
-        fold into one weight w_f(z) = sum_t coeff_t * pref_t *
-        (-1)^popcount(z & sign_t), so that H|z> = sum_f w_f(z) |z ^ f>;
-        targets z ^ f outside the basis are dropped. Weights that cancel to
-        exactly zero (such as the XX + YY halves of a number-conserving
-        hopping term) are not stored.
+        Entry (i, j) is <basis[i]|H|basis[j]>, stored when i <= j: positions
+        in ``basis``, not index values, so an unsorted basis works too. For
+        a Hermitian sum, H = U + U^dagger - diag(U), which is how every
+        reader rebuilds it. Terms sharing a flip mask f fold into one
+        weight w_f(z) = sum_t coeff_t * pref_t * (-1)^popcount(z & sign_t),
+        so that H|z> = sum_f w_f(z) |z ^ f>; targets z ^ f outside the basis
+        are dropped. Weights that cancel to exactly zero (such as the
+        XX + YY halves of a number-conserving hopping term) are not stored.
+        The data are float64 when every coeff_t * pref_t is real (as for
+        every real-integral molecular H), complex otherwise; the indices
+        are int32.
         """
         flips, signs, prefs, coeffs = self.string_table()
+        weights = coeffs * prefs
+        if not weights.imag.any():
+            weights = weights.real
         dim = basis.size
-        index = np.full(2 ** self.n_qubits, -1)   # basis state -> position
-        index[basis] = np.arange(dim)
-        rows, cols, vals = [basis[:0]], [basis[:0]], [np.zeros(0, complex)]
+        position = np.arange(dim, dtype=np.int32)
+        index = np.full(2 ** self.n_qubits, -1, dtype=np.int32)
+        index[basis] = position
+        rows, cols = [position[:0]], [position[:0]]
+        vals = [np.zeros(0, weights.dtype)]
         for flip in np.unique(flips):
-            w = np.zeros(dim, dtype=complex)
-            for t in np.flatnonzero(flips == flip):
-                c = coeffs[t] * prefs[t]
-                w += c * (1.0 - 2.0 * parity(basis & signs[t]))
             # H[z ^ f, z] = w_f(z): the row is the flipped state
             pos = index[basis ^ flip]
-            keep = np.flatnonzero((pos >= 0) & (w != 0))
-            rows.append(pos[keep])
-            cols.append(keep)
-            vals.append(w[keep])
+            keep = np.flatnonzero((pos >= 0) & (pos <= position))
+            z = basis[keep]
+            w = np.zeros(keep.size, dtype=weights.dtype)
+            for t in np.flatnonzero(flips == flip):
+                w += weights[t] * (1.0 - 2.0 * parity(z & signs[t]))
+            stored = np.flatnonzero(w)
+            rows.append(pos[keep[stored]])
+            cols.append(keep[stored].astype(np.int32))
+            vals.append(w[stored])
         return scipy.sparse.csr_array(
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
@@ -222,11 +239,20 @@ class PauliSum:
     def sparse_matrix(self) -> scipy.sparse.csr_array:
         """``basis_matrix`` on the whole 2^n space, built once and cached.
 
-        The cached matrix is shared: do not modify it.
+        This upper triangle is the one compiled matrix of the sum. The
+        cached matrix is shared: do not modify it.
         """
         if self._sparse is None:
             self._sparse = self.basis_matrix(np.arange(2 ** self.n_qubits))
         return self._sparse
+
+    def diagonal(self) -> np.ndarray:
+        """<z|H|z> for every z: the diagonal of ``sparse_matrix``, taken
+        once, cached and read-only."""
+        if self._diagonal is None:
+            self._diagonal = self.sparse_matrix().diagonal()
+            self._diagonal.flags.writeable = False
+        return self._diagonal
 
     @classmethod
     def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,

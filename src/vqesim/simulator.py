@@ -29,11 +29,13 @@ the stack of (2, 2^q) blocks by u above, whichever measured fastest. Index
 arrays are cached for vectors of at most ``_INDEX_CACHE_MAX_LEN`` entries,
 in at most ``_INDEX_CACHE_BYTES``.
 
-Expectation values read the Hamiltonian's compiled form
-(``PauliSum.sparse_matrix`` and ``string_table``), exact and sampled alike
-with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``. Shots are drawn per
-Pauli term from its exact expectation, never as bitstrings. The engines run
-at most ``MAX_STATEVECTOR_QUBITS`` and ``MAX_DENSITY_MATRIX_QUBITS`` qubits.
+Expectation values read the Hamiltonian's compiled form, exact and
+sampled alike with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``: the
+exact value its upper triangle U (``PauliSum.sparse_matrix``, with
+H = U + U^dagger - diag(U)), the sampled value its term table
+(``string_table``). Shots are drawn per Pauli term from its exact
+expectation, never as bitstrings. The engines run at most
+``MAX_STATEVECTOR_QUBITS`` and ``MAX_DENSITY_MATRIX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -362,24 +364,33 @@ def run_statevector(c: ParameterizedCircuit,
 
 def expectation_exact(state: Union[Statevector, DensityMatrix],
                       h: PauliSum) -> float:
-    """<H> from the Hamiltonian's compiled sparse matrix.
+    """<H> from the Hamiltonian's compiled upper triangle U.
 
-    ``h.sparse_matrix()`` folds every Pauli term into one CSR matrix; it is
-    built on the first call for a given PauliSum and cached on it, so each
-    later call is a single sparse product: <psi|H|psi> for a Statevector,
-    Tr(rho H) for a DensityMatrix.
+    ``h.sparse_matrix()`` folds every Pauli term into U, with
+    H = U + U^dagger - diag(U); it is built on the first call for a given
+    PauliSum and cached on it, so each later call is one sparse product
+    over U: <psi|H|psi> = 2 Re <psi|U psi> - sum_i U_ii |psi_i|^2 for a
+    Statevector, Tr(rho H) = 2 Re sum U_rc rho_cr - sum_i U_ii rho_ii for
+    a DensityMatrix.
     """
     if state.n_qubits != h.n_qubits:
         raise SimulationError("state / operator qubit-count mismatch")
     if not h.is_hermitian(HERMITIAN_TOL):
         raise SimulationError("expectation requires a Hermitian PauliSum")
-    m = h.sparse_matrix()
+    u, diag = h.sparse_matrix(), h.diagonal().real
     if isinstance(state, Statevector):
         psi = state.amplitudes
-        return float(np.vdot(psi, m @ psi).real)
-    # Tr(rho H) = sum over stored H[r, c] of H[r, c] * rho[c, r]
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    return float(np.dot(m.data, state.rho[m.indices, rows]).real)
+        if u.dtype == np.float64:
+            # psi = a + ib: Re <psi|U psi> = a.Ua + b.Ub for a real U, and
+            # two real products beat one product that casts U to complex
+            a, b = psi.real.copy(), psi.imag.copy()
+            upper = a @ (u @ a) + b @ (u @ b)
+        else:
+            upper = np.vdot(psi, u @ psi).real
+        return float(2.0 * upper - diag @ (psi.real ** 2 + psi.imag ** 2))
+    rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
+    upper = np.dot(u.data, state.rho[u.indices, rows]).real
+    return float(2.0 * upper - diag @ state.rho.diagonal().real)
 
 
 def _pauli_expectations(state: Union[Statevector, DensityMatrix],

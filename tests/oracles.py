@@ -31,6 +31,12 @@ def pauli_sum_matrix(terms, n_qubits):
     return out
 
 
+def hermitian_from_upper(upper):
+    """Dense H = U + U^dagger - diag(U) of a stored upper triangle U."""
+    u = upper.toarray()
+    return u + u.conj().T - np.diag(u.diagonal())
+
+
 GATES_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "X": PAULI["X"], "Y": PAULI["Y"], "Z": PAULI["Z"],

@@ -13,7 +13,8 @@ from vqesim.fermion import (FermionOperator, MolecularIntegrals,
 from vqesim.pauli import PauliSum
 from vqesim.simulator import Statevector
 
-from oracles import fermion_matrix, pauli_sum_matrix, sector_ground_energy
+from oracles import (fermion_matrix, hermitian_from_upper, pauli_sum_matrix,
+                     sector_ground_energy)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "perfbench"))
@@ -88,15 +89,16 @@ def test_real_dense_solve_matches_the_complex_solve(h2_problem,
     for p in (h2_problem, toy4_problem):
         sector = _sector_indices(p.hamiltonian.n_qubits, p.n_electrons)
         mat = p.hamiltonian.basis_matrix(sector)
-        assert not mat.data.imag.any()     # so the real solve is taken
-        evals, evecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=[0, 0])
+        assert mat.dtype == np.float64     # so the real solve is taken
+        evals, evecs = scipy.linalg.eigh(hermitian_from_upper(mat),
+                                         subset_by_index=[0, 0])
         res = ground_state(p.hamiltonian, p.n_electrons)
         assert abs(res.ground_energy - evals[0]) <= 1e-12
         overlap = np.vdot(evecs[:, 0], res.ground_state.amplitudes[sector])
         assert abs(overlap) >= 1 - 1e-10
 
 
-def test_complex_sector_keeps_the_complex_solve():
+def test_complex_sector_keeps_the_complex_solve(monkeypatch):
     # hoppings with complex amplitudes give a sector matrix with imaginary
     # entries; a real solve of it would be wrong
     terms = [(0.7 * np.exp(1j * phi), ((p, True), (q, False)))
@@ -108,10 +110,21 @@ def test_complex_sector_keeps_the_complex_solve():
     h = jordan_wigner(op + op.dagger())
     for n_electrons in (1, 2):
         sector = _sector_indices(4, n_electrons)
-        assert h.basis_matrix(sector).data.imag.any()
+        mat = h.basis_matrix(sector)
+        assert mat.dtype == complex and mat.data.imag.any()
         block = pauli_sum_matrix(h.terms, 4)[np.ix_(sector, sector)]
         res = ground_state(h, n_electrons)
         assert abs(res.ground_energy - np.linalg.eigvalsh(block)[0]) <= 1e-12
+        with monkeypatch.context() as m:     # Lanczos on U + U^dagger - D
+            m.setattr(exact, "DENSE_MAX_QUBITS", 2)
+            res = ground_state(h, n_electrons)
+        assert abs(res.ground_energy - np.linalg.eigvalsh(block)[0]) <= 1e-10
+
+
+def test_non_hermitian_sum_is_refused():
+    # a dense solve reads one triangle, so it would return a number
+    with pytest.raises(ReferenceError):
+        ground_state(PauliSum(2, {"XY": 1j, "ZI": 0.3}), 1)
 
 
 def test_empty_sector_and_cap_errors():
@@ -207,8 +220,8 @@ def test_sector_indices_match_a_per_state_count(n_qubits):
 def _n_sector_solve(h, n_electrons):
     """The two lowest eigenpairs of the whole particle-number sector."""
     sector = _sector_indices(h.n_qubits, n_electrons)
-    evals, evecs = scipy.linalg.eigh(h.basis_matrix(sector).toarray(),
-                                     subset_by_index=[0, 1])
+    evals, evecs = scipy.linalg.eigh(
+        hermitian_from_upper(h.basis_matrix(sector)), subset_by_index=[0, 1])
     full = np.zeros((2 ** h.n_qubits, 2), dtype=complex)
     full[sector] = evecs
     return evals, full

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from vqesim.fermion import MolecularIntegrals, build_hamiltonian, jordan_wigner
 from vqesim.pauli import LETTERS, PauliError, PauliSum, parity, string_actions
+from vqesim.simulator import Statevector, expectation_exact
 
-from oracles import pauli_matrix, pauli_sum_matrix
+from oracles import (hermitian_from_upper, pauli_matrix, pauli_sum_matrix,
+                     random_integrals)
 
 
 def product(n, la, lb):
@@ -106,8 +109,8 @@ def test_addition_associative_and_commutative():
 
 
 def to_matrix(s):
-    """The compiled matrix of a sum, the one that <H> reads, as an array."""
-    return s.sparse_matrix().toarray()
+    """H rebuilt from the compiled upper triangle that <H> reads."""
+    return hermitian_from_upper(s.sparse_matrix())
 
 
 def test_to_matrix_z_diag():
@@ -124,8 +127,10 @@ def test_to_matrix_x_plus_z():
 def test_to_matrix_hermitian():
     rng = np.random.default_rng(5)
     terms = {"XYZI": rng.normal(), "ZZII": rng.normal(), "IXXY": rng.normal()}
-    mat = to_matrix(PauliSum(4, terms))
-    np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
+    # the stored form is the upper triangle of a Hermitian matrix
+    upper = PauliSum(4, terms).sparse_matrix().toarray()
+    np.testing.assert_array_equal(upper, np.triu(upper))
+    np.testing.assert_allclose(upper.diagonal().imag, 0, atol=1e-14)
 
 
 def test_to_matrix_matches_oracle():
@@ -220,11 +225,36 @@ def test_basis_matrix_matches_dense_restriction(basis):
     h = PauliSum(4, BASIS_TERMS)
     expected = pauli_sum_matrix(h.terms, 4)[np.ix_(basis, basis)]
     m = h.basis_matrix(basis)
-    np.testing.assert_allclose(m.toarray(), expected, rtol=0, atol=1e-15)
-    assert m.nnz == np.count_nonzero(expected)   # exact zeros not stored
+    # the upper triangle by position in the basis, not by index value
+    np.testing.assert_array_equal(m.toarray(), np.triu(m.toarray()))
+    np.testing.assert_allclose(hermitian_from_upper(m), expected,
+                               rtol=0, atol=1e-15)
+    # exact zeros not stored
+    assert m.nnz == np.count_nonzero(np.triu(expected))
     if basis.size == 16:
         np.testing.assert_array_equal(h.sparse_matrix().toarray(),
                                       m.toarray())
+
+
+def test_compiled_14_qubit_molecular_h_is_a_real_upper_triangle():
+    h1, g = random_integrals(7, np.random.default_rng(1))
+    h = jordan_wigner(build_hamiltonian(MolecularIntegrals(7, 7, 0.0, h1, g)))
+    u = h.sparse_matrix()
+    assert u.dtype == np.float64
+    assert u.indices.dtype == u.indptr.dtype == np.int32
+    rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
+    assert (rows <= u.indices).all()
+    # U + U^T stores every entry of H once
+    assert u.nnz <= (u + u.T).nnz / 2 + 2 ** 14
+    # <psi|H|psi> term by term, from each string's action on |z>
+    psi = [1, 1j] @ np.random.default_rng(2).standard_normal((2, 2 ** 14))
+    psi /= np.linalg.norm(psi)
+    z = np.arange(2 ** 14)
+    expected = sum(c * pref * np.vdot(psi[z ^ flip],
+                                      (1.0 - 2.0 * parity(z & sign)) * psi)
+                   for flip, sign, pref, c in zip(*h.string_table()))
+    assert abs(expectation_exact(Statevector(14, psi), h)
+               - expected.real) <= 1e-10
 
 
 def test_pruning_below_tolerance():

@@ -1,12 +1,15 @@
-"""Property tests: both engines and the Jordan-Wigner map against the dense
-oracles on drawn inputs."""
+"""Property tests: both engines, exact expectation values and the
+Jordan-Wigner map against the dense oracles on drawn inputs."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from vqesim.ansatz import Gate, ParameterizedCircuit
 from vqesim.fermion import FermionOperator, jordan_wigner
-from vqesim.simulator import NoiseModel, run_density_matrix, run_statevector
+from vqesim.pauli import PauliSum
+from vqesim.simulator import (DensityMatrix, NoiseModel, Statevector,
+                              expectation_exact, run_density_matrix,
+                              run_statevector)
 
 from oracles import (circuit_unitary, fermion_matrix, noisy_density_matrix,
                      pauli_sum_matrix)
@@ -72,3 +75,38 @@ def test_jordan_wigner_matches_ladder_oracle(op):
     np.testing.assert_allclose(pauli_sum_matrix(jordan_wigner(op).terms,
                                                 op.n_modes),
                                fermion_matrix(op), rtol=0, atol=1e-12)
+
+
+@st.composite
+def hermitian_sums(draw):
+    """Up to 8 strings on 1-6 qubits with real coefficients, so the sum is
+    Hermitian. Half the draws keep only strings with an even number of Y,
+    whose matrices are real: the compiled form is then real too."""
+    n = draw(st.integers(1, 6))
+    real = draw(st.booleans())
+    letters = st.text("IXYZ", min_size=n, max_size=n)
+    if real:
+        letters = letters.filter(lambda s: s.count("Y") % 2 == 0)
+    coeff = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    return PauliSum(n, draw(st.dictionaries(letters, coeff, min_size=1,
+                                            max_size=8)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(hermitian_sums(), st.integers(0, 2 ** 32 - 1))
+def test_exact_expectations_match_dense_oracle(h, seed):
+    n = h.n_qubits
+    if all(s.count("Y") % 2 == 0 for s in h.terms):
+        assert h.sparse_matrix().dtype == np.float64
+    dense = pauli_sum_matrix(h.terms, n)
+    rng = np.random.default_rng(seed)
+    shape = (2 ** n, 2 ** n)
+    psi = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    psi /= np.linalg.norm(psi)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    assert abs(expectation_exact(Statevector(n, psi), h)
+               - np.vdot(psi, dense @ psi).real) <= 1e-12
+    assert abs(expectation_exact(DensityMatrix(n, rho), h)
+               - np.trace(rho @ dense).real) <= 1e-12
