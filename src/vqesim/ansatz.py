@@ -10,6 +10,7 @@ the 2*coefficient scale of their generator terms.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,6 +22,7 @@ from .pauli import HERMITIAN_TOL, PRUNE_TOL
 
 ROTATIONS = ("RX", "RY", "RZ")
 FIXED = ("H", "X", "Y", "Z")
+_KINDS = ROTATIONS + FIXED + ("CNOT",)
 DEGENERACY_TOL = 1e-10     # |MP2 denominator| whose amplitude is set to 0
 
 
@@ -36,7 +38,7 @@ class Gate:
     param: Optional[tuple[int, float]] = None   # (index, scale)
 
     def __post_init__(self):
-        if self.kind not in ROTATIONS + FIXED + ("CNOT",):
+        if self.kind not in _KINDS:
             raise AnsatzError(f"unknown gate kind {self.kind!r}")
         if self.kind in ROTATIONS:
             if (self.angle is None) == (self.param is None):
@@ -167,60 +169,45 @@ def he_parameter_count(variant: str, n_qubits: int, depth: int) -> int:
 def build_he(variant: str, n_qubits: int, depth: int) -> ParameterizedCircuit:
     """Hardware-efficient circuit; one of the three fixed layouts.
 
-    v1: H on the lower half, then per layer one rotation per qubit
-        (RY even / RX odd), HOMO-LUMO CNOTs (i, i+N/2), spin CNOTs (2k, 2k+1).
-    v2: H everywhere, per layer one rotation per qubit and a linear CNOT chain.
-    v3: H everywhere, per layer an (RY, RX) pair on every qubit, then for
-        each chain CNOT an (RY, RX) pair on both of its qubits.
+    An H layer, then ``depth`` copies of one layer: each qubit's rotations,
+    then each CNOT, followed (v3 only) by an (RY, RX) pair on both qubits.
+    v1: H on the lower half, one rotation per qubit (RY even / RX odd),
+        HOMO-LUMO CNOTs (i, i+N/2), then spin CNOTs (2k, 2k+1).
+    v2: H everywhere, one rotation per qubit as in v1, the chain (i, i+1).
+    v3: H everywhere, an (RY, RX) pair on every qubit, the chain of v2.
     """
     if depth < 1:
         raise AnsatzError("depth must be >= 1")
-    if variant == "v1" and n_qubits % 2:
-        raise AnsatzError("v1 requires an even qubit count")
-    gates: list[Gate] = []
-    p = 0
-
-    def rot(kind, q):
-        nonlocal p
-        gates.append(Gate(kind, (q,), param=(p, 1.0)))
-        p += 1
-
+    # v2's data, which v1 and v3 change in part
+    hadamards = range(n_qubits)
+    rotations = [("RY",) if q % 2 == 0 else ("RX",) for q in range(n_qubits)]
+    cnots = [(i, i + 1) for i in range(n_qubits - 1)]
+    after = ()
     if variant == "v1":
+        if n_qubits % 2:
+            raise AnsatzError("v1 requires an even qubit count")
         half = n_qubits // 2
-        for q in range(half):
-            gates.append(Gate("H", (q,)))
-        for _ in range(depth):
-            for q in range(n_qubits):
-                rot("RY" if q % 2 == 0 else "RX", q)
-            for i in range(half):
-                gates.append(Gate("CNOT", (i, i + half)))
-            for k in range(0, n_qubits - 1, 2):
-                gates.append(Gate("CNOT", (k, k + 1)))
-    elif variant == "v2":
-        for q in range(n_qubits):
-            gates.append(Gate("H", (q,)))
-        for _ in range(depth):
-            for q in range(n_qubits):
-                rot("RY" if q % 2 == 0 else "RX", q)
-            for i in range(n_qubits - 1):
-                gates.append(Gate("CNOT", (i, i + 1)))
+        hadamards = range(half)
+        cnots = ([(i, i + half) for i in range(half)]
+                 + [(k, k + 1) for k in range(0, n_qubits - 1, 2)])
     elif variant == "v3":
-        for q in range(n_qubits):
-            gates.append(Gate("H", (q,)))
-        for _ in range(depth):
-            for q in range(n_qubits):
-                rot("RY", q)
-                rot("RX", q)
-            for i in range(n_qubits - 1):
-                gates.append(Gate("CNOT", (i, i + 1)))
-                for q in (i, i + 1):
-                    rot("RY", q)
-                    rot("RX", q)
-    else:
+        rotations = [("RY", "RX")] * n_qubits
+        after = ("RY", "RX")
+    elif variant != "v2":
         raise AnsatzError(f"unknown HE variant {variant!r}")
-
-    expected = he_parameter_count(variant, n_qubits, depth)
-    assert p == expected, (p, expected)
+    layer = [(kind, (q,)) for q in range(n_qubits) for kind in rotations[q]]
+    for pair in cnots:
+        layer.append(("CNOT", pair))
+        for q in pair:
+            for kind in after:
+                layer.append((kind, (q,)))
+    index = itertools.count()
+    gates = [Gate("H", (q,)) for q in hadamards]
+    gates += [Gate(kind, qubits, param=(next(index), 1.0)
+                   if kind in ROTATIONS else None)
+              for kind, qubits in layer * depth]
+    p = next(index)
+    assert p == he_parameter_count(variant, n_qubits, depth)
     return ParameterizedCircuit(n_qubits, tuple(gates), p,
                                 {"family": f"he_{variant}", "depth": depth})
 
@@ -260,42 +247,35 @@ def enumerate_excitations(n_modes: int, n_electrons: int):
     with doubles as (p, q, r, s), p > q unoccupied, r > s occupied, and the
     created spins matching the annihilated spins as multisets.
     """
-    occ = list(range(n_electrons))
-    virt = list(range(n_electrons, n_modes))
-    singles = [(p, r) for p in virt for r in occ if _spin(p) == _spin(r)]
-    doubles = []
-    for ip, p in enumerate(virt):
-        for q in virt[:ip]:
-            for ir, r in enumerate(occ):
-                for s in occ[:ir]:
-                    if sorted((_spin(p), _spin(q))) == sorted((_spin(r), _spin(s))):
-                        doubles.append((p, q, r, s))
-    return sorted(doubles), sorted(singles)
+    def rank(k):   # (created..., annihilated...), each half descending
+        return sorted(
+            created[::-1] + annihilated[::-1]
+            for created in itertools.combinations(range(n_electrons, n_modes), k)
+            for annihilated in itertools.combinations(range(n_electrons), k)
+            if sorted(map(_spin, created)) == sorted(map(_spin, annihilated)))
+    return rank(2), rank(1)
 
 
 def build_qucc_generator(m: MolecularIntegrals) -> QuccGenerator:
-    """Unit-amplitude anti-Hermitian generator for the frozen integrals."""
+    """Unit-amplitude anti-Hermitian generator for the frozen integrals.
+
+    An excitation's first half is created and its second annihilated:
+    T = a+_p a+_q a_r a_s for (p, q, r, s), and its operator is T - T+,
+    where T+ swaps the two halves.
+    """
     if m.n_electrons <= 0:
         raise AnsatzError("no active electrons")
     n_modes = 2 * m.n_orbitals
     doubles, singles = enumerate_excitations(n_modes, m.n_electrons)
-    excitations: list[tuple[int, ...]] = []
-    operators: list[FermionOperator] = []
-    for p, q, r, s in doubles:
-        op = FermionOperator.from_terms(n_modes, [
-            (1.0, ((p, True), (q, True), (r, False), (s, False))),
-            (-1.0, ((r, True), (s, True), (p, False), (q, False))),
-        ])
-        excitations.append((p, q, r, s))
-        operators.append(op)
-    for p, r in singles:
-        op = FermionOperator.from_terms(n_modes, [
-            (1.0, ((p, True), (r, False))),
-            (-1.0, ((r, True), (p, False))),
-        ])
-        excitations.append((p, r))
-        operators.append(op)
-    return QuccGenerator(n_modes, m.n_electrons, tuple(excitations),
+    excitations = tuple(doubles + singles)
+    operators = []
+    for exc in excitations:
+        k = len(exc) // 2
+        daggers = (True,) * k + (False,) * k
+        operators.append(FermionOperator.from_terms(n_modes, [
+            (1.0, tuple(zip(exc, daggers))),
+            (-1.0, tuple(zip(exc[k:] + exc[:k], daggers)))]))
+    return QuccGenerator(n_modes, m.n_electrons, excitations,
                          tuple(operators))
 
 
@@ -346,18 +326,14 @@ def _pauli_exponential_gates(letters: str, param_index: int,
     active = [q for q, l in enumerate(letters) if l != "I"]
     if not active:
         return []  # global phase only
-    basis_in, basis_out = [], []
-    for q in active:
-        l = letters[q]
-        if l == "X":
-            basis_in.append(Gate("H", (q,)))
-            basis_out.append(Gate("H", (q,)))
-        elif l == "Y":
-            basis_in.append(Gate("RX", (q,), angle=np.pi / 2))
-            basis_out.append(Gate("RX", (q,), angle=-np.pi / 2))
+
+    def to_z(sign):   # X -> Z by H, Y -> Z by RX(pi/2); sign -1 undoes it
+        return [Gate("H", (q,)) if letters[q] == "X"
+                else Gate("RX", (q,), angle=sign * np.pi / 2)
+                for q in active if letters[q] != "Z"]
     chain = [Gate("CNOT", (a, b)) for a, b in zip(active, active[1:])]
     rz = Gate("RZ", (active[-1],), param=(param_index, scale))
-    return basis_in + chain + [rz] + list(reversed(chain)) + list(reversed(basis_out))
+    return to_z(1) + chain + [rz] + chain[::-1] + to_z(-1)[::-1]
 
 
 def trotterize_qucc(gen: QuccGenerator) -> ParameterizedCircuit:

@@ -136,10 +136,11 @@ def one_rdm(state: Statevector, n_spatial: int) -> OneRdm:
     for p in range(n_spatial):
         for q in range(p + 1):
             val = 0.0
-            for s in (0, 1):
-                op = FermionOperator.from_terms(
-                    n_modes, [(1.0, ((2 * p + s, True), (2 * q + s, False)))])
-                herm = 0.5 * (op + op.dagger())
+            for P, Q in ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)):
+                # 1/2 (a+_P a_Q + a+_Q a_P), alpha then beta
+                herm = FermionOperator.from_terms(n_modes, [
+                    (0.5, ((P, True), (Q, False))),
+                    (0.5, ((Q, True), (P, False)))])
                 val += expectation_exact(state, jordan_wigner(herm))
             d[p, q] = d[q, p] = val
     noons = np.sort(np.linalg.eigvalsh(d))[::-1]

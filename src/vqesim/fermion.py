@@ -12,6 +12,7 @@ with ``pauli.mask_product``, and ``PauliSum.from_masks`` sums the strings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, replace
@@ -310,60 +311,36 @@ class FermionOperator:
                      for c, ops in terms if abs(complex(c)) > PRUNE_TOL)
         return cls(n_modes, kept)
 
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if self.n_modes != other.n_modes:
-            raise IntegralError("mode-count mismatch")
-        return FermionOperator.from_terms(self.n_modes,
-                                          self.terms + other.terms)
-
-    def __mul__(self, scalar) -> "FermionOperator":
-        return FermionOperator.from_terms(
-            self.n_modes, ((c * complex(scalar), ops) for c, ops in self.terms))
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "FermionOperator":
-        terms = []
-        for c, ops in self.terms:
-            terms.append((np.conj(c),
-                          tuple((i, not d) for i, d in reversed(ops))))
-        return FermionOperator.from_terms(self.n_modes, terms)
-
 
 def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     """Second-quantized Hamiltonian over 2*n_orbitals interleaved spin-orbitals.
 
     H = sum_pq h_pq a+_ps a_qs
       + 1/2 sum_pqrs (pq|rs) sum_st a+_ps a+_rt a_st a_qs
+
+    One pass over both integral arrays in C order, one-body first: each
+    index pair, (p, q) and then (r, s), moves one electron, q -> p and
+    s -> r, and each electron takes both spins, the first one outermost.
     """
     m.validate()
-    n = m.n_orbitals
-    n_so = 2 * n
     terms = []
-    for p in range(n):
-        for q in range(n):
-            c = m.h_one[p, q]
-            if abs(c) < PRUNE_TOL:
-                continue
-            for sp in (0, 1):
-                terms.append((c, ((2 * p + sp, True), (2 * q + sp, False))))
-    g = m.h_two
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    c = 0.5 * g[p, q, r, s]
-                    if abs(c) < PRUNE_TOL:
-                        continue
-                    for sp in (0, 1):
-                        for st in (0, 1):
-                            P, Q = 2 * p + sp, 2 * q + sp
-                            R, S = 2 * r + st, 2 * s + st
-                            if P == R or Q == S:
-                                continue  # a+a+ / aa on equal modes vanish
-                            terms.append(
-                                (c, ((P, True), (R, True), (S, False), (Q, False))))
-    return FermionOperator.from_terms(n_so, terms)
+    for coeffs in (m.h_one, 0.5 * m.h_two):
+        keep = np.abs(coeffs) > PRUNE_TOL
+        n_pairs = coeffs.ndim // 2
+        spins = np.array(list(itertools.product((0, 1), repeat=n_pairs)))
+        idx = np.argwhere(keep)[:, None, :]         # (entry, 1, index)
+        created = 2 * idx[..., ::2] + spins         # (entry, spins, electron)
+        annihilated = (2 * idx[..., 1::2] + spins)[..., ::-1]
+        # a+a+ / aa on equal modes vanish: keep pairwise distinct modes
+        ends = np.sort(np.stack([created, annihilated]))
+        valid = (np.diff(ends) != 0).all(axis=(0, -1))
+        modes = np.concatenate([created, annihilated], axis=-1)[valid]
+        c = np.broadcast_to(coeffs[keep][:, None], valid.shape)[valid]
+        daggers = (True,) * n_pairs + (False,) * n_pairs
+        terms += ((complex(ci), tuple(zip(row, daggers)))
+                  for ci, row in zip(c.tolist(), modes.tolist()))
+    # the terms are already in the form from_terms would give them
+    return FermionOperator(2 * m.n_orbitals, tuple(terms))
 
 
 def _ladder_strings(modes: np.ndarray, dagger: np.ndarray

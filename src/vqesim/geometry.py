@@ -1,9 +1,10 @@
 """Benzene carbon-ring geometries for the three studied distortions.
 
 All coordinates are planar (z = 0) in Angstrom. Every carbon keeps its
-hydrogen at 1.09 A; hydrogens point along the external bisector of the
-two C-C bond directions at their carbon (radially outward on the regular
-hexagon).
+hydrogen at 1.09 A, along the external bisector of the two C-C bond
+directions at that carbon in distortions 1 and 2 (radially outward on the
+regular hexagon). Distortion 3 moves each C3H3 triplet rigidly, hydrogens
+included, so its C-H bonds keep their equilibrium directions.
 """
 
 from __future__ import annotations

@@ -224,6 +224,8 @@ class PauliSum:
             # H[z ^ f, z] = w_f(z): the row is the flipped state
             pos = index[basis ^ flip]
             keep = np.flatnonzero((pos >= 0) & (pos <= position))
+            if not keep.size:
+                continue
             z = basis[keep]
             w = np.zeros(keep.size, dtype=weights.dtype)
             for t in np.flatnonzero(flips == flip):
@@ -232,9 +234,11 @@ class PauliSum:
             rows.append(pos[keep[stored]])
             cols.append(keep[stored].astype(np.int32))
             vals.append(w[stored])
-        return scipy.sparse.csr_array(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
+        # each list goes as soon as it is joined, before the CSR is built
+        vals = np.concatenate(vals)
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
     def sparse_matrix(self) -> scipy.sparse.csr_array:
         """``basis_matrix`` on the whole 2^n space, built once and cached.

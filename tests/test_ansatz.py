@@ -133,6 +133,51 @@ def test_he_v1_layer_structure():
                          ("CNOT", (0, 1)), ("CNOT", (2, 3))]
 
 
+def he_sequence(c):
+    """(kind, qubits, parameter index or None) of every gate."""
+    return [(g.kind, g.qubits, g.param and g.param[0]) for g in c.gates]
+
+
+def test_he_gate_sequences_at_four_qubits_depth_two():
+    # written from build_he's docstring: each layer's parameters follow on
+    def v1(o):
+        return [("RY", (0,), o), ("RX", (1,), o + 1), ("RY", (2,), o + 2),
+                ("RX", (3,), o + 3), ("CNOT", (0, 2), None),
+                ("CNOT", (1, 3), None), ("CNOT", (0, 1), None),
+                ("CNOT", (2, 3), None)]
+
+    def v2(o):
+        return [("RY", (0,), o), ("RX", (1,), o + 1), ("RY", (2,), o + 2),
+                ("RX", (3,), o + 3), ("CNOT", (0, 1), None),
+                ("CNOT", (1, 2), None), ("CNOT", (2, 3), None)]
+
+    def v3(o):
+        return [("RY", (0,), o), ("RX", (0,), o + 1), ("RY", (1,), o + 2),
+                ("RX", (1,), o + 3), ("RY", (2,), o + 4), ("RX", (2,), o + 5),
+                ("RY", (3,), o + 6), ("RX", (3,), o + 7),
+                ("CNOT", (0, 1), None),
+                ("RY", (0,), o + 8), ("RX", (0,), o + 9),
+                ("RY", (1,), o + 10), ("RX", (1,), o + 11),
+                ("CNOT", (1, 2), None),
+                ("RY", (1,), o + 12), ("RX", (1,), o + 13),
+                ("RY", (2,), o + 14), ("RX", (2,), o + 15),
+                ("CNOT", (2, 3), None),
+                ("RY", (2,), o + 16), ("RX", (2,), o + 17),
+                ("RY", (3,), o + 18), ("RX", (3,), o + 19)]
+
+    def hadamards(qubits):
+        return [("H", (q,), None) for q in qubits]
+
+    assert he_sequence(build_he("v1", 4, 2)) == (
+        hadamards((0, 1)) + v1(0) + v1(4))
+    assert he_sequence(build_he("v2", 4, 2)) == (
+        hadamards((0, 1, 2, 3)) + v2(0) + v2(4))
+    assert he_sequence(build_he("v3", 4, 2)) == (
+        hadamards((0, 1, 2, 3)) + v3(0) + v3(20))
+    assert all(g.param[1] == 1.0 for v in ("v1", "v2", "v3")
+               for g in build_he(v, 4, 2).gates if g.param)
+
+
 def test_he_count_formulas_across_grid():
     for n in (4, 8, 12, 16):
         for d in (1, 2, 3):

@@ -106,8 +106,10 @@ def test_complex_sector_keeps_the_complex_solve(monkeypatch):
                                (2, 3, 0.9))]
     terms += [(0.3 * (i + 1), ((i, True), (i, False))) for i in range(4)]
     terms += [(0.5, ((0, True), (2, True), (2, False), (0, False)))]
-    op = FermionOperator.from_terms(4, terms)
-    h = jordan_wigner(op + op.dagger())
+    # H = T + T^dagger: each term's conjugate, its ops reversed and flipped
+    terms += [(np.conj(c), tuple((i, not d) for i, d in reversed(ops)))
+              for c, ops in terms]
+    h = jordan_wigner(FermionOperator.from_terms(4, terms))
     for n_electrons in (1, 2):
         sector = _sector_indices(4, n_electrons)
         mat = h.basis_matrix(sector)

@@ -343,10 +343,7 @@ def test_hamiltonian_is_hermitian_as_matrix():
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)
 
 
-def test_fermion_operator_dagger_and_zero():
-    op = FermionOperator.from_terms(2, [(1.5, ((0, True), (1, False)))])
-    dag = op.dagger()
-    assert dag.terms == ((1.5, ((1, True), (0, False))),)
+def test_fermion_operator_prunes_zero_terms():
     assert FermionOperator.from_terms(2, [(0.0, ((0, True),))]).terms == ()
 
 

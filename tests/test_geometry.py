@@ -129,6 +129,17 @@ def test_d3_fragments_are_rigid():
             np.testing.assert_allclose(got_d, ref_d, atol=1e-9)
 
 
+def test_d3_moves_each_hydrogen_with_its_carbon():
+    # the triplets are rigid, hydrogens included: no C-H vector turns
+    def ch_vectors(geom):
+        return geom.coordinates("H") - geom.coordinates("C")
+
+    ref = ch_vectors(distortion3(0.0))
+    for r3 in (0.4, 1.6, 3.0):
+        np.testing.assert_allclose(ch_vectors(distortion3(r3)), ref,
+                                   rtol=0, atol=1e-12)
+
+
 def test_d3_centroid_separation_slope():
     seps = []
     for r3 in (0.0, 1.0, 2.0):

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vqesim import pauli
 from vqesim.fermion import MolecularIntegrals, build_hamiltonian, jordan_wigner
 from vqesim.pauli import LETTERS, PauliError, PauliSum, parity, string_actions
 from vqesim.simulator import Statevector, expectation_exact
@@ -255,6 +257,39 @@ def test_compiled_14_qubit_molecular_h_is_a_real_upper_triangle():
                    for flip, sign, pref, c in zip(*h.string_table()))
     assert abs(expectation_exact(Statevector(14, psi), h)
                - expected.real) <= 1e-10
+
+
+def test_basis_matrix_skips_flips_that_leave_the_basis(monkeypatch):
+    # on one state only the flip-0 terms can contribute: no other flip
+    # mask's terms are evaluated
+    h = PauliSum(4, BASIS_TERMS)
+    calls = []
+
+    def counting_parity(x):
+        calls.append(x.size)
+        return parity(x)
+
+    monkeypatch.setattr(pauli, "parity", counting_parity)
+    m = h.basis_matrix(np.array([5]))
+    flips = h.string_table()[0]
+    assert len(calls) == np.count_nonzero(flips == 0)
+    expected = pauli_sum_matrix(h.terms, 4)[5, 5]
+    assert m.shape == (1, 1) and m[0, 0] == pytest.approx(expected.real)
+
+
+def test_basis_matrix_transient_memory_is_bounded():
+    # the per-flip lists go before the CSR is built: peak traced memory
+    # stays within 3x the stored bytes (3.7x when all of them lived on)
+    h1, g = random_integrals(6, np.random.default_rng(6))
+    h = jordan_wigner(build_hamiltonian(MolecularIntegrals(6, 6, 0.0, h1, g)))
+    h.string_table()
+    tracemalloc.start()
+    try:
+        u = h.basis_matrix(np.arange(2 ** 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (u.data.nbytes + u.indices.nbytes + u.indptr.nbytes)
 
 
 def test_pruning_below_tolerance():
