@@ -1,8 +1,9 @@
 """Parameterized circuits: hardware-efficient variants and Trotterized qUCC.
 
 A symbolic rotation angle is stored as (parameter index, scale); under a
-parameter vector theta it is scale * theta[index] (``Gate.angle_at``), in
-the engines, which run the unbound circuit at theta, and in ``bind``.
+parameter vector theta it is scale * theta[index]: ``Gate.angle_at`` in
+``bind``, and ``ParameterizedCircuit.angle_arrays`` for every gate at once
+in the engines, which run the unbound circuit at theta.
 Hardware efficient layers use scale 1; the qUCC Pauli exponentials carry
 the 2*coefficient scale of their generator terms.
 """
@@ -108,6 +109,19 @@ class ParameterizedCircuit:
     def layout(self) -> tuple:
         """(kind, qubits) of every gate: the key of the compiled programs."""
         return Layout((g.kind, g.qubits) for g in self.gates)
+
+    @functools.cached_property
+    def angle_arrays(self) -> tuple:
+        """Read-only (index, scale, fixed) per gate: under theta extended by
+        one 0 at ``n_parameters`` a gate turns by scale * theta[index] +
+        fixed, which is ``Gate.angle_at(theta)`` for a rotation."""
+        params = [g.param or (self.n_parameters, 0.0) for g in self.gates]
+        arrays = (np.array([p[0] for p in params], dtype=np.intp),
+                  np.array([p[1] for p in params], dtype=float),
+                  np.array([g.angle or 0.0 for g in self.gates], dtype=float))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def bind(self, theta: Sequence[float]) -> "ParameterizedCircuit":
         theta = np.asarray(theta, dtype=float)

@@ -11,8 +11,8 @@ The idle channel has one form: ``_superoperator(_idle_kraus(t, nm))``,
 which the program compiles once per wait length (``_idle_superoperators``).
 
 Both engines run a circuit at a parameter vector theta, never binding it:
-a rotation turns by ``Gate.angle_at(theta)``, as in ``bind``, so the state
-equals that of the bound circuit bit for bit.
+a rotation turns by scale * theta[index] (``angle_arrays``), as in
+``bind``, so the state equals that of the bound circuit bit for bit.
 
 Both engines run one program (``_program``), compiled once per gate
 layout (``ParameterizedCircuit.layout``, cached on the circuit) and, for
@@ -22,12 +22,13 @@ by outer products; rho starts as |psi0><psi0|. It covers the H/RY/RX
 prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC. After
 that, the one-qubit gates on a qubit between two of its CNOTs fuse into
 one 2x2 product u, and with the idle channel of the wait that ends them
-into one pass over psi or rho; each CNOT stays one gather. Per call only
-the products are built, one gate matrix at a time. ``_apply_1q``
-multiplies rows of 2 * 2^q amplitudes by (u (x) I_{2^q})^T for low q and
-the stack of (2, 2^q) blocks by u above, whichever measured fastest. Index
-arrays are cached for vectors of at most ``_INDEX_CACHE_MAX_LEN`` entries,
-in at most ``_INDEX_CACHE_BYTES``.
+into one pass over psi or rho; each CNOT stays one gather. Only the
+products depend on theta, and ``_compiled_call`` builds them once per
+call in one vectorised pass over all gates; the engines only index that
+stack. ``_apply_1q`` multiplies rows of 2 * 2^q amplitudes by
+(u (x) I_{2^q})^T for low q and the stack of (2, 2^q) blocks by u above,
+whichever measured fastest. Index arrays are cached for vectors of at
+most ``_INDEX_CACHE_MAX_LEN`` entries, in at most ``_INDEX_CACHE_BYTES``.
 
 Expectation values read the Hamiltonian's compiled form, exact and
 sampled alike with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``: the
@@ -45,11 +46,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .ansatz import ROTATIONS, Gate, ParameterizedCircuit
+from .ansatz import ROTATIONS, ParameterizedCircuit
 from .pauli import HERMITIAN_TOL, PauliSum, parity
 
 
@@ -160,28 +161,10 @@ class DensityMatrix:
 # ---------------------------------------------------------------------------
 # gate matrices and application
 
-def gate_matrix(g: Gate, theta: Sequence[float] = ()) -> np.ndarray:
-    """2x2 matrix of a one-qubit gate; a rotation turns by g.angle_at(theta)."""
-    k = g.kind
-    if k == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    if k == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if k == "Y":
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if k == "Z":
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if k not in ROTATIONS:
-        raise SimulationError(f"no 2x2 matrix for gate kind {k!r}")
-    t = g.angle_at(theta) / 2.0
-    if k == "RX":
-        return np.array([[np.cos(t), -1j * np.sin(t)],
-                         [-1j * np.sin(t), np.cos(t)]], dtype=complex)
-    if k == "RY":
-        return np.array([[np.cos(t), -np.sin(t)],
-                         [np.sin(t), np.cos(t)]], dtype=complex)
-    return np.array([[np.exp(-1j * t), 0],
-                     [0, np.exp(1j * t)]], dtype=complex)
+_FIXED = {"H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+          "X": np.array([[0, 1], [1, 0]], dtype=complex),
+          "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+          "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
 
 
 _EYE = {1 << q: np.eye(1 << q) for q in range(5)}
@@ -250,43 +233,66 @@ def _cnot_index(n_bits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return _build_cnot_index(n_bits, pairs)
 
 
-@functools.lru_cache(maxsize=8)
-def _program(n: int, layout: tuple, noise: tuple | None = None) -> tuple:
-    """The theta-independent plan of a run: (prefix, ops).
+class _Program(NamedTuple):   # see ``_program``
+    table: np.ndarray        # (rows, width) gate indices, run order
+    rotations: tuple         # gate indices of the RX, RY and RZ gates
+    fixed: np.ndarray        # (gates + 1, 2, 2): H/X/Y/Z, the identity last
+    idle: np.ndarray | None  # (rows, 4, 4) superoperator of each row's wait
+    ops: tuple               # (q, row) per fused run, (None, pair) per CNOT
 
-    ``prefix[q]`` lists the gates on qubit q before any CNOT touches it;
-    they act on |0>, so each qubit starts in a product state. Each op is
-    (q, run, idle): the gates ``run`` on qubit q between two of its CNOTs,
-    or after its last, fused into one 2x2 product; with q None, run is the
-    (control, target) pair of a CNOT. Gates are indices into ``layout``.
+
+@functools.lru_cache(maxsize=8)
+def _program(n: int, layout: tuple, noise: tuple | None = None) -> _Program:
+    """The theta-independent plan of a run, read-only and shared.
+
+    Row q < n of ``table`` lists the gates on qubit q before any CNOT
+    touches it; they act on |0>, so each qubit starts in a product state.
+    Each later row is a run, the gates on one qubit between two of its
+    CNOTs or after its last, fused into one 2x2 product. Gates index
+    ``layout``; index len(layout) is the identity that pads each row. An
+    op is (q, row) for a run on qubit q, or (None, (control, target)).
     ``noise`` is None or (t1_us, t2_us, sorted duration items), the key of
-    a NoiseModel, which holds a dict. With noise, ``idle`` is the read-only
-    superoperator of the wait that ends the run, else None: a qubit idles
-    only before one of its CNOTs or up to the end, so after its run (which
-    may then be empty). The tuple is shared by every caller.
+    a NoiseModel. With noise, ``idle[row]`` is the superoperator of the
+    wait that ends the run, else the identity: a qubit idles only before
+    one of its CNOTs or up to the end, so after its run (maybe empty).
     """
     idles = _idle_superoperators(n, layout, noise)
-    prefix: list[list[int]] = [[] for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n)]
+    waits: list = [None] * n
     runs: dict[int, list[int]] = {}   # open run of each qubit past a CNOT
     ops = []
 
     def close(q: int, i: int) -> None:   # the run of q ends at gate i
-        run, idle = tuple(runs.get(q, ())), idles.get((q, i))
+        run, idle = runs.get(q, []), idles.get((q, i))
         if run or idle is not None:
-            ops.append((q, run, idle))
+            ops.append((q, len(rows)))
+            rows.append(run)
+            waits.append(idle)
 
     for i, (kind, qubits) in enumerate(layout):
         if kind != "CNOT":
             q = qubits[0]
-            (runs[q] if q in runs else prefix[q]).append(i)
+            (runs[q] if q in runs else rows[q]).append(i)
             continue
         for q in qubits:
             close(q, i)
             runs[q] = []
-        ops.append((None, qubits, None))
+        ops.append((None, qubits))
     for q in [*runs, *(q for q in range(n) if q not in runs)]:
         close(q, len(layout))
-    return tuple(map(tuple, prefix)), tuple(ops)
+    table = np.full((len(rows), max(map(len, rows), default=0) or 1),
+                    len(layout), dtype=np.intp)
+    for row, run in zip(table, rows):
+        row[:len(run)] = run
+    kinds = np.array([kind for kind, _ in layout], dtype=str)
+    rotations = tuple(_read_only(np.flatnonzero(kinds == r))
+                      for r in ROTATIONS)
+    fixed = np.array([_FIXED.get(k, np.zeros((2, 2))) for k in kinds]
+                     + [np.eye(2)], dtype=complex)
+    idle = None if noise is None else _read_only(np.array(
+        [np.eye(4) if s is None else s for s in waits], dtype=complex))
+    return _Program(_read_only(table), rotations, _read_only(fixed), idle,
+                    tuple(ops))
 
 
 def _idle_superoperators(n: int, layout: tuple,
@@ -303,59 +309,61 @@ def _idle_superoperators(n: int, layout: tuple,
     waits = {(q, gate_at.get((q, b), len(layout))): b - a
              for q, intervals in enumerate(sched.idle_intervals)
              for a, b in intervals}
-    superops = {t: _read_only(_superoperator(_idle_kraus(t, nm)))
+    superops = {t: _superoperator(_idle_kraus(t, nm))
                 for t in set(waits.values())}
     return {key: superops[t] for key, t in waits.items()}
 
 
-def _fused(gates: tuple[Gate, ...], run: tuple[int, ...],
-           theta: list[float]) -> np.ndarray:
-    """The 2x2 product of ``gates[i]`` for i in ``run``, first gate rightmost."""
-    if not run:
-        return np.eye(2, dtype=complex)
-    u = gate_matrix(gates[run[0]], theta)
-    for i in run[1:]:
-        u = gate_matrix(gates[i], theta) @ u
-    return u
-
-
-def _product_state(gates: tuple[Gate, ...], prefix: tuple,
-                   theta: list[float]) -> np.ndarray:
-    """The amplitudes after the ``prefix`` gates of each qubit act on |0>."""
-    psi = np.ones(1, dtype=complex)
-    for q in reversed(range(len(prefix))):   # qubit 0 is the least significant
-        psi = np.multiply.outer(psi, _fused(gates, prefix[q], theta)[:, 0])
-    return psi.reshape(-1)
-
-
-def _parameter_values(c: ParameterizedCircuit, theta: Sequence[float],
-                      max_qubits: int) -> list[float]:
-    """theta as floats, one per parameter of c, if c has <= max_qubits."""
+def _compiled_call(c: ParameterizedCircuit, theta: Sequence[float],
+                   max_qubits: int, noise: tuple | None = None) -> tuple:
+    """(ops, psi0, stack) of c at theta: the program's ops, the start
+    state and one matrix per table row. Every 2x2 gate matrix is built in
+    one vectorised pass, and the row products (first gate rightmost) with
+    one batched matmul per table column. The stack holds these products,
+    or with noise the superoperators idle (u (x) u*)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n_parameters,):
         raise SimulationError(
             f"expected {c.n_parameters} parameters, got {theta.shape}")
     if c.n_qubits > max_qubits:
         raise SimulationError(f"{c.n_qubits} qubits exceeds cap {max_qubits}")
-    return theta.tolist()
+    prog = _program(c.n_qubits, c.layout, noise)
+    index, scale, fixed = c.angle_arrays
+    half = (scale * np.append(theta, 0.0)[index] + fixed) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    m = prog.fixed.copy()
+    rx, ry, rz = prog.rotations
+    m[rx, 0, 0] = m[rx, 1, 1] = cos[rx]
+    m[rx, 0, 1] = m[rx, 1, 0] = -1j * sin[rx]
+    m[ry, 0, 0] = m[ry, 1, 1] = cos[ry]
+    m[ry, 0, 1], m[ry, 1, 0] = -sin[ry], sin[ry]
+    m[rz, 0, 0], m[rz, 1, 1] = np.exp(-1j * half[rz]), np.exp(1j * half[rz])
+    u = m[prog.table[:, 0]]
+    for column in prog.table.T[1:]:
+        u = m[column] @ u
+    psi = np.ones(1, dtype=complex)
+    for q in reversed(range(c.n_qubits)):   # qubit 0 is the least significant
+        psi = np.multiply.outer(psi, u[q, :, 0])
+    if noise is not None:
+        u = prog.idle @ (u[:, :, None, :, None]
+                         * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
+    return prog.ops, psi.reshape(-1), u
 
 
 def run_statevector(c: ParameterizedCircuit,
                     theta: Sequence[float] = ()) -> Statevector:
     """Apply circuit c at parameters theta to |0...0>.
 
-    Only the 2x2 products depend on theta; the rest is ``_program``,
-    compiled once per gate layout.
+    Only the 2x2 products depend on theta (``_compiled_call``); the rest
+    is ``_program``, compiled once per gate layout.
     """
-    values = _parameter_values(c, theta, MAX_STATEVECTOR_QUBITS)
     n = c.n_qubits
-    prefix, ops = _program(n, c.layout)
-    psi = _product_state(c.gates, prefix, values)
-    for q, run, _ in ops:
+    ops, psi, stack = _compiled_call(c, theta, MAX_STATEVECTOR_QUBITS)
+    for q, op in ops:
         if q is None:
-            psi = psi[_cnot_index(n, (run,))]
+            psi = psi[_cnot_index(n, (op,))]
         else:
-            psi = _apply_1q(psi, _fused(c.gates, run, values), q)
+            psi = _apply_1q(psi, stack[op], q)
     return Statevector(n, psi)
 
 
@@ -519,18 +527,14 @@ def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
     every qubit touched by a gate idles up to the global circuit end and
     measurement is simultaneous.
     """
-    values = _parameter_values(c, theta, MAX_DENSITY_MATRIX_QUBITS)
     n = c.n_qubits
-    prefix, ops = _program(n, c.layout, (
+    ops, psi, stack = _compiled_call(c, theta, MAX_DENSITY_MATRIX_QUBITS, (
         nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items()))))
-    psi = _product_state(c.gates, prefix, values)   # no qubit idles before
-    v = np.outer(psi, psi.conj()).reshape(-1)
-    for q, run, idle in ops:
+    v = np.outer(psi, psi.conj()).reshape(-1)   # no qubit idles before psi0
+    for q, op in ops:
         if q is None:
-            ctl, tgt = run
+            ctl, tgt = op
             v = v[_cnot_index(2 * n, ((ctl + n, tgt + n), (ctl, tgt)))]
-            continue
-        u = _fused(c.gates, run, values)
-        s = np.kron(u, u.conj())
-        v = _apply_2q(v, s if idle is None else idle @ s, q + n, q)
+        else:
+            v = _apply_2q(v, stack[op], q + n, q)
     return DensityMatrix(n, v.reshape(2 ** n, 2 ** n))

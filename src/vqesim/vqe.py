@@ -54,11 +54,13 @@ class VqeResult:
     n_evaluations: int
     converged: bool
     seed: int = 0
+    stop_reason: str = ""   # "budget" or the optimizer's own message
 
     def to_json_dict(self, include_trace: bool = True) -> dict:
         out = {"seed": self.seed, "best_energy": self.best_energy,
                "n_evaluations": self.n_evaluations,
                "converged": self.converged,
+               "stop_reason": self.stop_reason,
                "best_theta": [float(x) for x in self.best_theta]}
         if include_trace:
             out["trace"] = [float(e) for e in self.energy_trace]
@@ -88,8 +90,11 @@ def run_optimizer(objective: Callable[[np.ndarray], float],
                   x0: np.ndarray, max_evals: int, method: str = "cobyla"):
     """Minimize with an exact evaluation budget.
 
-    Returns (best_x, best_f, n_evals, trace) where trace holds every
-    observed objective value in evaluation order.
+    Returns (best_x, best_f, n_evals, trace, converged, stop_reason) where
+    trace holds every observed objective value in evaluation order.
+    ``converged`` and ``stop_reason`` are scipy's ``success`` and
+    ``message``; when the budget cuts the optimizer off they are False and
+    "budget", and with no parameters True and "no parameters".
     """
     x0 = np.asarray(x0, dtype=float)
     trace: list[float] = []
@@ -108,26 +113,29 @@ def run_optimizer(objective: Callable[[np.ndarray], float],
             best["x"] = np.array(x, dtype=float)
         return f
 
+    converged, reason = True, "no parameters"
     try:
         if x0.size == 0:
             wrapped(x0)  # nothing to optimize; record the single energy
         elif method == "cobyla":
             # COBYLA needs at least n + 2 evaluations; wrapped enforces the
             # budget, so asking for fewer would only draw a scipy warning
-            scipy.optimize.minimize(
+            res = scipy.optimize.minimize(
                 wrapped, x0, method="COBYLA",
                 options={"rhobeg": COBYLA_RHOBEG, "tol": COBYLA_RHOEND,
                          "maxiter": max(max_evals, x0.size + 2)})
         elif method == "nelder_mead":
-            scipy.optimize.minimize(
+            res = scipy.optimize.minimize(
                 wrapped, x0, method="Nelder-Mead",
                 options={"maxfev": max_evals, "xatol": COBYLA_RHOEND,
                          "fatol": COBYLA_RHOEND})
         else:
             raise VqeError(f"unknown optimizer {method!r}")
+        if x0.size:
+            converged, reason = bool(res.success), str(res.message)
     except _BudgetExhausted:
-        pass
-    return best["x"], best["f"], len(trace), trace
+        converged, reason = False, "budget"
+    return best["x"], best["f"], len(trace), trace, converged, reason
 
 
 def make_energy_fn(c: ParameterizedCircuit, h: PauliSum, e_core: float,
@@ -184,12 +192,12 @@ def minimize(c: ParameterizedCircuit, h: PauliSum, e_core: float,
     """Run one VQE optimization and return the best observed point."""
     energy = make_energy_fn(c, h, e_core, cfg)
     theta0 = _initial_theta(cfg, c.n_parameters)
-    best_x, best_f, n_evals, trace = run_optimizer(
+    best_x, best_f, n_evals, trace, converged, reason = run_optimizer(
         energy, theta0, cfg.max_iterations, method=cfg.optimizer)
     return VqeResult(best_energy=best_f, best_theta=best_x,
                      energy_trace=trace, n_evaluations=n_evals,
-                     converged=n_evals < cfg.max_iterations,
-                     seed=cfg.rng_seed)
+                     converged=converged, seed=cfg.rng_seed,
+                     stop_reason=reason)
 
 
 def derive_trial_seeds(base_seed: int, n_trials: int) -> list[int]:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vqesim.ansatz import Gate, ParameterizedCircuit, build_he
+from vqesim.ansatz import ROTATIONS, Gate, ParameterizedCircuit, build_he
 from vqesim.pipeline import build_ansatz
 from vqesim.pauli import PauliSum, string_actions
 from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
@@ -21,9 +21,10 @@ from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
 
 import vqesim.simulator as simulator
 
-from oracles import (apply_kraus_full, circuit_unitary, embed_1q,
+from oracles import (GATES_1Q, apply_kraus_full, circuit_unitary, embed_1q,
                      embed_cnot, idle_kraus_full, noisy_density_matrix,
-                     pauli_matrix, pauli_sum_matrix, tensor_statevector)
+                     pauli_matrix, pauli_sum_matrix, rotation,
+                     tensor_statevector)
 
 
 def bell_state():
@@ -122,6 +123,120 @@ def test_engines_from_theta_equal_the_bound_run(toy4_problem, ansatz):
     nm = NoiseModel()   # table-1 noise
     np.testing.assert_array_equal(run_density_matrix(c, nm, theta).rho,
                                   run_density_matrix(bound, nm).rho)
+
+
+def random_parameterized_circuit(n_qubits, n_gates, n_parameters, rng):
+    """random_circuit's layouts, each rotation on a parameter with a
+    random scale (qUCC's are 2 * coefficient) or, one in four, fixed; a
+    last RY per parameter keeps every parameter in use."""
+    gates = list(random_circuit(n_qubits, n_gates, rng).gates)
+    for i, g in enumerate(gates):
+        if g.kind in ROTATIONS and rng.uniform() < 0.75:
+            gates[i] = Gate(g.kind, g.qubits, param=(
+                int(rng.integers(n_parameters)), float(rng.uniform(-3, 3))))
+    gates += [Gate("RY", (0,), param=(k, 1.0)) for k in range(n_parameters)]
+    return ParameterizedCircuit(n_qubits, tuple(gates), n_parameters)
+
+
+def _oracle_gate(g, theta):
+    if g.kind in ROTATIONS:
+        return rotation(g.kind, g.angle_at(theta))
+    return GATES_1Q[g.kind]
+
+
+# every kind, parameter scales 1 and -0.8, fixed angles, and qubit 3
+# untouched; no gates; CNOTs only
+BUILD_CIRCUITS = {
+    "every_kind": ParameterizedCircuit(4, (
+        Gate("H", (0,)), Gate("RX", (0,), param=(0, 1.0)),
+        Gate("RY", (1,), param=(1, -0.8)), Gate("Y", (1,)),
+        Gate("RZ", (2,), angle=0.3), Gate("CNOT", (0, 1)),
+        Gate("X", (0,)), Gate("RZ", (0,), param=(0, -0.8)),
+        Gate("Z", (1,)), Gate("RX", (1,), angle=-1.2),
+        Gate("RY", (1,), angle=2.1), Gate("CNOT", (1, 2)),
+        Gate("RZ", (2,), param=(1, 1.0)), Gate("H", (2,))), 2),
+    "no_gates": ParameterizedCircuit(2, (), 0),
+    "cnots_only": ParameterizedCircuit(3, (
+        Gate("CNOT", (0, 1)), Gate("CNOT", (2, 0))), 0),
+}
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["psi", "rho"])
+@pytest.mark.parametrize("name", BUILD_CIRCUITS)
+def test_batched_build_matches_oracle_gate_products(name, noisy):
+    c = BUILD_CIRCUITS[name]
+    theta = np.random.default_rng(66).uniform(-np.pi, np.pi, c.n_parameters)
+    nm = NoiseModel()
+    key = (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
+    prog = simulator._program(c.n_qubits, c.layout, key if noisy else None)
+    ops, psi0, stack = simulator._compiled_call(
+        c, theta, MAX_STATEVECTOR_QUBITS, key if noisy else None)
+    assert ops == prog.ops
+    # each one-qubit gate lies in one row, once
+    entries = prog.table[prog.table < len(c.gates)]
+    assert sorted(entries) == [i for i, g in enumerate(c.gates)
+                               if g.kind != "CNOT"]
+    unitaries = []
+    for row in prog.table:
+        u = np.eye(2, dtype=complex)
+        for i in row[row < len(c.gates)]:   # the first gate acts first
+            u = _oracle_gate(c.gates[i], theta) @ u
+        unitaries.append(u)
+    expected = (np.array(unitaries) if not noisy else
+                np.array([w @ np.kron(u, u.conj())
+                          for w, u in zip(prog.idle, unitaries)]))
+    np.testing.assert_allclose(stack, expected, rtol=0, atol=1e-15)
+    # rows 0..n-1 are the prefixes: psi0 is the product of their columns 0
+    expected = np.ones(1, dtype=complex)
+    for q in reversed(range(c.n_qubits)):   # qubit 0 least significant
+        expected = np.kron(expected, unitaries[q][:, 0])
+    np.testing.assert_allclose(psi0, expected, rtol=0, atol=1e-15)
+    assert stack.shape[0] == len(prog.table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_engines_from_theta_equal_the_bound_run_on_random_layouts(n):
+    rng = np.random.default_rng(67 + n)
+    nm = NoiseModel(t1_us=0.2, t2_us=0.2)
+    for _ in range(4):
+        c = random_parameterized_circuit(n, 24, 3, rng)
+        theta = rng.uniform(-np.pi, np.pi, c.n_parameters)
+        bound = c.bind(theta)
+        np.testing.assert_array_equal(run_statevector(c, theta).amplitudes,
+                                      run_statevector(bound).amplitudes)
+        np.testing.assert_array_equal(run_density_matrix(c, nm, theta).rho,
+                                      run_density_matrix(bound, nm).rho)
+
+
+def test_each_engine_call_makes_one_batched_build(monkeypatch, toy4_problem):
+    c, _ = build_ansatz("qucc", toy4_problem)
+    theta = np.random.default_rng(68).uniform(-1, 1, c.n_parameters)
+    calls = []
+    build = simulator._compiled_call
+    monkeypatch.setattr(simulator, "_compiled_call",
+                        lambda *args: calls.append(1) or build(*args))
+    run_statevector(c, theta)
+    assert len(calls) == 1
+    small = build_he("v3", 3, 1)
+    run_density_matrix(small, NoiseModel(), np.zeros(small.n_parameters))
+    assert len(calls) == 2
+
+
+def test_writing_into_a_compiled_table_raises_and_changes_nothing():
+    rng = np.random.default_rng(69)
+    c = random_parameterized_circuit(3, 20, 2, rng)
+    theta = rng.uniform(-np.pi, np.pi, c.n_parameters)
+    nm = NoiseModel(t1_us=0.2, t2_us=0.2)
+    key = (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
+    psi = run_statevector(c, theta).amplitudes
+    rho = run_density_matrix(c, nm, theta).rho
+    prog = simulator._program(c.n_qubits, c.layout, key)
+    for table in (*c.angle_arrays, prog.table, *prog.rotations, prog.fixed,
+                  prog.idle):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+    np.testing.assert_array_equal(run_statevector(c, theta).amplitudes, psi)
+    np.testing.assert_array_equal(run_density_matrix(c, nm, theta).rho, rho)
 
 
 @pytest.mark.parametrize("length_delta", [-1, 1])
@@ -676,9 +791,9 @@ def test_noisy_run_makes_one_pass_per_fused_run(monkeypatch, toy4_problem):
                         lambda *args: calls.append(1) or apply_2q(*args))
     theta = np.random.default_rng(65).uniform(-1, 1, c.n_parameters)
     run_density_matrix(c, nm, theta)
-    _, ops = simulator._program(c.n_qubits, c.layout, (
-        nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items()))))
-    runs = sum(1 for q, _, _ in ops if q is not None)
+    ops = simulator._program(c.n_qubits, c.layout, (
+        nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))).ops
+    runs = sum(1 for q, _ in ops if q is not None)
     one_qubit_gates = sum(1 for g in c.gates if g.kind != "CNOT")
     idles = sum(map(len, schedule_circuit(c, nm).idle_intervals))
     assert len(calls) == runs

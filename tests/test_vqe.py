@@ -27,7 +27,7 @@ def test_quadratic_four_dims():
     def f(x):
         return float(np.sum((x - target) ** 2))
 
-    x, fbest, n, trace = run_optimizer(f, np.zeros(4), 200)
+    x, fbest, n, trace, *_ = run_optimizer(f, np.zeros(4), 200)
     assert n <= 200
     assert fbest < 1e-6
 
@@ -37,7 +37,7 @@ def test_budget_one_returns_initial_value():
     def f(x):
         return float(np.sum(x ** 2)) + 5.0
 
-    x, fbest, n, trace = run_optimizer(f, np.array([1.0, 2.0]), 1)
+    x, fbest, n, trace, *_ = run_optimizer(f, np.array([1.0, 2.0]), 1)
     assert n == 1
     assert fbest == pytest.approx(10.0)
     np.testing.assert_array_equal(x, [1.0, 2.0])
@@ -48,13 +48,13 @@ def test_rosenbrock_benchmark():
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
 
     # the simplex method tracks the curved valley to the optimum
-    _, fbest, n, _ = run_optimizer(rosen, np.zeros(2), 1000,
-                                   method="nelder_mead")
+    _, fbest, n, *_ = run_optimizer(rosen, np.zeros(2), 1000,
+                                    method="nelder_mead")
     assert fbest < 1e-2
     assert n <= 1000
     # the linear-approximation method makes progress but is known to stall
     # in the valley; it must still improve on the start and obey the budget
-    _, fcob, ncob, _ = run_optimizer(rosen, np.zeros(2), 1000)
+    _, fcob, ncob, *_ = run_optimizer(rosen, np.zeros(2), 1000)
     assert fcob < rosen(np.zeros(2))
     assert ncob <= 1000
 
@@ -66,7 +66,7 @@ def test_budget_enforced_exactly():
         calls.append(1)
         return float(np.sum(x ** 2))
 
-    _, _, n, trace = run_optimizer(f, np.ones(3), 25)
+    _, _, n, trace, *_ = run_optimizer(f, np.ones(3), 25)
     assert n == len(trace) == len(calls) == 25
 
 
@@ -74,7 +74,7 @@ def test_best_so_far_monotone():
     def f(x):
         return float(np.sin(3 * x[0]) + 0.1 * x[0] ** 2)
 
-    _, _, _, trace = run_optimizer(f, np.array([2.0]), 120)
+    _, _, _, trace, *_ = run_optimizer(f, np.array([2.0]), 120)
     best = np.minimum.accumulate(trace)
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -91,7 +91,8 @@ def test_nelder_mead_also_satisfies_contract():
     def f(x):
         return float(np.sum((x - 0.4) ** 2))
 
-    _, fbest, n, _ = run_optimizer(f, np.zeros(3), 500, method="nelder_mead")
+    _, fbest, n, *_ = run_optimizer(f, np.zeros(3), 500,
+                                    method="nelder_mead")
     assert fbest < 1e-6 and n <= 500
 
 
@@ -124,6 +125,33 @@ def test_minimize_respects_budget():
     assert res.n_evaluations == 7
     assert not res.converged
     assert res.best_energy == min(res.energy_trace)
+
+
+@pytest.mark.parametrize("optimizer", ["cobyla", "nelder_mead"])
+def test_stop_reason_is_the_optimizers(optimizer):
+    cfg = VqeConfig(max_iterations=400, optimizer=optimizer,
+                    initial_guess=[2.0])
+    res = minimize(ry_circuit(), Z1, 0.0, cfg)
+    assert res.converged and res.n_evaluations < 400
+    assert res.stop_reason not in ("", "budget")
+    assert res.to_json_dict()["stop_reason"] == res.stop_reason
+    # at this budget scipy stops itself, with its own message
+    cut = minimize(ry_circuit(), Z1, 0.0,
+                   VqeConfig(max_iterations=3, optimizer=optimizer,
+                             initial_guess=[2.0]))
+    assert cut.n_evaluations == 3 and not cut.converged
+    assert cut.stop_reason not in ("", "budget", res.stop_reason)
+
+
+def test_stop_reason_when_the_budget_cuts_the_optimizer_off():
+    # COBYLA asks for n + 2 = 6 evaluations; the budget stops it at 3
+    *_, n, _, converged, reason = run_optimizer(
+        lambda x: float(np.sum(x ** 2)), np.ones(4), 3)
+    assert (n, converged, reason) == (3, False, "budget")
+    c = ParameterizedCircuit(1, (Gate("H", (0,)),), 0)
+    res = minimize(c, Z1, 0.0, VqeConfig(max_iterations=5))
+    assert (res.n_evaluations, res.converged, res.stop_reason) == (
+        1, True, "no parameters")
 
 
 def test_energy_fn_qubit_mismatch():
