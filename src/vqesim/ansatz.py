@@ -105,6 +105,10 @@ class ParameterizedCircuit:
             missing = set(range(self.n_parameters)) - used
             raise AnsatzError(f"unreferenced parameter indices: {sorted(missing)}")
 
+    def __getstate__(self):   # a copy rebuilds its caches read-only
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("layout", "angle_arrays")}
+
     @functools.cached_property
     def layout(self) -> tuple:
         """(kind, qubits) of every gate: the key of the compiled programs."""

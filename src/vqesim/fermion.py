@@ -5,9 +5,10 @@ Spin-orbitals are interleaved: spatial orbital p maps to spin-orbitals
 notation (pq|rs) as read from FCIDUMP; the conversion to physicists'
 ordering happens when the second-quantized Hamiltonian is assembled.
 
+A ``FermionOperator`` holds its terms as arrays, one group per length.
 ``jordan_wigner`` works on the bit masks of ``pauli`` (n <= 63 modes): it
-expands every ladder-operator term of the same length in one numpy pass
-with ``pauli.mask_product``, and ``PauliSum.from_masks`` sums the strings.
+expands each group in one numpy pass with ``pauli.mask_product``, and
+``PauliSum.from_masks`` sums the strings.
 """
 
 from __future__ import annotations
@@ -288,28 +289,40 @@ def freeze_orbitals(m: MolecularIntegrals, a: ActiveSpace) -> MolecularIntegrals
 # ---------------------------------------------------------------------------
 # fermionic operators
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FermionOperator:
     """Sum of products of creation/annihilation operators.
 
-    Each term is (coefficient, ops) where ops is a tuple of
-    (spin_orbital_index, is_dagger) applied left to right.
+    One read-only group (coeffs, modes, daggers) per term length L, of
+    shapes (T,), (T, L) and (T, L): term t is coeffs[t] times the ladder
+    operators (modes[t, j], daggers[t, j]) applied left to right.
     """
 
     n_modes: int
-    terms: tuple[tuple[complex, tuple[tuple[int, bool], ...]], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        for _, ops in self.terms:
-            for idx, _ in ops:
-                if not 0 <= idx < self.n_modes:
-                    raise IntegralError(f"mode index {idx} out of range")
+        for group in self.groups:
+            bad = group[1][(group[1] < 0) | (group[1] >= self.n_modes)]
+            if bad.size:
+                raise IntegralError(f"mode index {bad[0]} out of range")
+            for a in group:
+                a.flags.writeable = False
 
     @classmethod
     def from_terms(cls, n_modes: int, terms: Iterable) -> "FermionOperator":
-        kept = tuple((complex(c), tuple((int(i), bool(d)) for i, d in ops))
-                     for c, ops in terms if abs(complex(c)) > PRUNE_TOL)
-        return cls(n_modes, kept)
+        """From (coeff, ((mode, dagger), ...)) terms, pruned, in order."""
+        by_length: dict[int, list] = {}
+        for c, ops in terms:
+            if abs(complex(c)) > PRUNE_TOL:
+                by_length.setdefault(len(ops), []).append((c, ops))
+        groups = []
+        for length, group in by_length.items():
+            ops = np.array([o for _, o in group], dtype=np.int64).reshape(
+                len(group), length, 2)
+            groups.append((np.array([c for c, _ in group], dtype=complex),
+                           ops[..., 0], ops[..., 1].astype(bool)))
+        return cls(n_modes, tuple(groups))
 
 
 def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
@@ -323,7 +336,7 @@ def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
     s -> r, and each electron takes both spins, the first one outermost.
     """
     m.validate()
-    terms = []
+    groups = []
     for coeffs in (m.h_one, 0.5 * m.h_two):
         keep = np.abs(coeffs) > PRUNE_TOL
         n_pairs = coeffs.ndim // 2
@@ -335,41 +348,31 @@ def build_hamiltonian(m: MolecularIntegrals) -> FermionOperator:
         ends = np.sort(np.stack([created, annihilated]))
         valid = (np.diff(ends) != 0).all(axis=(0, -1))
         modes = np.concatenate([created, annihilated], axis=-1)[valid]
+        if not len(modes):
+            continue
         c = np.broadcast_to(coeffs[keep][:, None], valid.shape)[valid]
-        daggers = (True,) * n_pairs + (False,) * n_pairs
-        terms += ((complex(ci), tuple(zip(row, daggers)))
-                  for ci, row in zip(c.tolist(), modes.tolist()))
-    # the terms are already in the form from_terms would give them
-    return FermionOperator(2 * m.n_orbitals, tuple(terms))
-
-
-def _ladder_strings(modes: np.ndarray, dagger: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two strings of each ladder operator, as arrays of shape (..., 2).
-
-    a_i(+) = 1/2 (X_i -+ i Y_i) Z_{<i} = 1/2 (X_i Z_{<i} +- X_i Z_{<=i}),
-    since Y = i X Z. A string (x, z, k) stands for i^k X^x Z^z, and the
-    common factor 1/2 is left to the caller.
-    """
-    bit = 1 << modes
-    below = bit - 1
-    x = np.stack([bit, bit], axis=-1)
-    z = np.stack([below, below | bit], axis=-1)
-    k = np.stack([np.zeros_like(modes), np.where(dagger, 0, 2)], axis=-1)
-    return x, z, k
+        daggers = np.arange(2 * n_pairs) < n_pairs   # a+ ... a+ a ... a
+        groups.append((c.astype(complex), modes,
+                       np.broadcast_to(daggers, modes.shape)))
+    return FermionOperator(2 * m.n_orbitals, tuple(groups))
 
 
 def _expand(coeffs: np.ndarray, modes: np.ndarray, dagger: np.ndarray
             ) -> tuple[np.ndarray, ...]:
     """(x, z, k, coeff) of every string of T terms of L ladder operators each.
 
-    ``modes`` and ``dagger`` have shape (T, L); each term becomes its 2^L
-    strings coeff * i^k X^x Z^z, multiplied left to right by
-    ``pauli.mask_product``.
+    ``modes`` and ``dagger`` have shape (T, L). A string (x, z, k) stands
+    for i^k X^x Z^z, and a ladder operator is two of them, times 1/2:
+    a_i(+) = 1/2 (X_i -+ i Y_i) Z_{<i} = 1/2 (X_i Z_{<i} +- X_i Z_{<=i}),
+    since Y = i X Z. Each term becomes its 2^L strings, multiplied left to
+    right by ``pauli.mask_product``.
     """
     n_terms, length = modes.shape
+    bit = 1 << modes
+    lx = np.stack([bit, bit], axis=-1)                  # (T, L, 2)
+    lz = np.stack([bit - 1, (bit - 1) | bit], axis=-1)
+    lk = np.stack([np.zeros_like(modes), np.where(dagger, 0, 2)], axis=-1)
     x = z = k = np.zeros((n_terms, 1), dtype=np.int64)
-    lx, lz, lk = _ladder_strings(modes, dagger)
     for j in range(length):
         x, z, sign = mask_product(x[:, :, None], z[:, :, None],
                                   lx[:, None, j], lz[:, None, j])
@@ -382,22 +385,14 @@ def _expand(coeffs: np.ndarray, modes: np.ndarray, dagger: np.ndarray
 def jordan_wigner(f: FermionOperator) -> PauliSum:
     """Map a FermionOperator to a PauliSum on n_modes qubits.
 
-    One vectorised pass: the terms are grouped by length, every term of
-    length L expands at once into its 2^L strings as bit masks, and
-    ``PauliSum.from_masks`` sums equal strings into the PauliSum.
+    One vectorised pass: every term of a group of length L expands at once
+    into its 2^L strings as bit masks, and ``PauliSum.from_masks`` sums
+    equal strings into the PauliSum.
     """
     n = f.n_modes
     if n > MAX_MASK_QUBITS:
         raise IntegralError(f"{n} modes do not fit a 64-bit mask")
-    groups: dict[int, list] = {}
-    for coeff, ops in f.terms:
-        groups.setdefault(len(ops), []).append((coeff, ops))
-    if not groups:
+    if not f.groups:
         return PauliSum(n)
-    parts = []
-    for length, group in groups.items():
-        coeffs = np.array([c for c, _ in group], dtype=complex)
-        ops = np.array([o for _, o in group], dtype=np.int64).reshape(
-            len(group), length, 2)
-        parts.append(_expand(coeffs, ops[..., 0], ops[..., 1]))
+    parts = [_expand(*group) for group in f.groups]
     return PauliSum.from_masks(n, *(np.concatenate(a) for a in zip(*parts)))

@@ -47,12 +47,6 @@ class PauliError(ValueError):
     pass
 
 
-def _check_letters(letters: str) -> None:
-    bad = set(letters) - set(LETTERS)
-    if bad:
-        raise PauliError(f"invalid Pauli letters: {sorted(bad)}")
-
-
 def string_actions(letters: Iterable[str]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flip masks, sign masks and prefactors of equal-length Pauli strings.
@@ -106,19 +100,16 @@ class PauliSum:
         self._diagonal = None
         self._table = None
         self._max_imag = None
-        if terms:
-            for letters, coeff in terms.items():
-                if len(letters) != n_qubits:
-                    raise PauliError(
-                        f"term {letters!r} does not match n_qubits={n_qubits}")
-                _check_letters(letters)
-                c = complex(coeff)
-                if abs(c) > PRUNE_TOL:
-                    self._terms[letters] = self._terms.get(letters, 0) + c
-            self._prune()
-
-    def _prune(self):
-        self._terms = {k: v for k, v in self._terms.items() if abs(v) > PRUNE_TOL}
+        for letters, coeff in (terms or {}).items():
+            if len(letters) != n_qubits:
+                raise PauliError(
+                    f"term {letters!r} does not match n_qubits={n_qubits}")
+            bad = set(letters) - set(LETTERS)
+            if bad:
+                raise PauliError(f"invalid Pauli letters: {sorted(bad)}")
+            c = 0 + complex(coeff)   # a -0.0 part is stored as +0.0
+            if abs(c) > PRUNE_TOL:
+                self._terms[letters] = c
 
     @property
     def terms(self) -> Dict[str, complex]:
@@ -261,7 +252,10 @@ class PauliSum:
     @classmethod
     def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,
                    k: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
-        """Sum of coeffs[t] i^k[t] X^x[t] Z^z[t], equal strings merged."""
+        """Sum of coeffs[t] i^k[t] X^x[t] Z^z[t], equal strings merged.
+
+        Its terms are valid, merged and pruned as built, so they skip the
+        checks of ``__init__``."""
         # each X Z on one qubit is -i Y (mod 4, so an unsigned k may wrap)
         values = coeffs * _I_POWERS[(k - np.bitwise_count(x & z)) % 4]
         # equal strings share a key: the pair of ranks of their x and z masks
@@ -277,7 +271,9 @@ class PauliSum:
         z_bits = (zs[keys % len(zs), None] >> shifts) & 1
         text = _LETTER_CODES[x_bits + 2 * z_bits].tobytes().decode("ascii")
         letters = [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
-        return cls(n_qubits, dict(zip(letters, total.tolist())))
+        out = cls(n_qubits)
+        out._terms = dict(zip(letters, total.tolist()))
+        return out
 
     def __repr__(self):
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self)})"

@@ -201,13 +201,21 @@ def fermion_matrix(op, n_modes=None):
     n = op.n_modes if n_modes is None else n_modes
     dim = 2 ** n
     m = np.zeros((dim, dim), dtype=complex)
-    for coeff, ops in op.terms:
+    for coeff, ops in fermion_terms(op):
         for z in range(dim):
             res = apply_ladder(z, ops)
             if res is not None:
                 sign, z2 = res
                 m[z2, z] += coeff * sign
     return m
+
+
+def fermion_terms(op):
+    """(coeff, ((mode, dagger), ...)) of every term, read from the groups."""
+    return [(coeff, tuple(zip(row, dag)))
+            for coeffs, modes, daggers in op.groups
+            for coeff, row, dag in zip(coeffs.tolist(), modes.tolist(),
+                                       daggers.tolist())]
 
 
 def sector_ground_energy(mat, n_modes, n_electrons, mask_fixed=None):

@@ -82,6 +82,17 @@ def test_layout_hash_is_recomputed_on_unpickling():
     assert copy == layout and hash(copy) == hash(tuple(layout))
 
 
+def test_pickled_circuit_rebuilds_its_caches_read_only():
+    c = build_he("v3", 3, 1)
+    c.layout, c.angle_arrays        # cache both before the round trip
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and copy.layout == c.layout
+    for a, b in zip(copy.angle_arrays, c.angle_arrays):
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_bind_is_idempotent_and_checks_length():
     c = build_he("v1", 4, 1)
     theta = np.linspace(-1, 1, c.n_parameters)
@@ -221,8 +232,9 @@ def test_generator_layout_doubles_first():
     m = make_h2_like()
     gen = build_qucc_generator(m)
     assert gen.excitations == ((3, 2, 1, 0), (2, 0), (3, 1))
-    single_terms = sum(len(op.terms) for op, exc
-                       in zip(gen.operators, gen.excitations) if len(exc) == 2)
+    single_terms = sum(len(coeffs) for op, exc
+                       in zip(gen.operators, gen.excitations) if len(exc) == 2
+                       for coeffs, _, _ in op.groups)
     assert single_terms == 4
 
 

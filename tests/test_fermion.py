@@ -8,8 +8,8 @@ from vqesim.fermion import (ActiveSpace, FermionOperator, IntegralError,
                             select_active_space, write_fcidump)
 from vqesim.pipeline import prepare_problem
 
-from oracles import (fermion_matrix, pauli_sum_matrix, random_integrals,
-                     sector_ground_energy)
+from oracles import (fermion_matrix, fermion_terms, pauli_sum_matrix,
+                     random_integrals, sector_ground_energy)
 
 
 def make_integrals(n, n_electrons, seed, e_core=0.0, two_scale=0.2):
@@ -310,7 +310,7 @@ def test_single_orbital_hamiltonian():
     m = MolecularIntegrals(1, 2, 0.0, np.array([[eps]]), np.zeros((1, 1, 1, 1)))
     h = build_hamiltonian(m)
     expected = {((0, True), (0, False)): eps, ((1, True), (1, False)): eps}
-    got = {ops: c for c, ops in h.terms}
+    got = {ops: c for c, ops in fermion_terms(h)}
     assert got.keys() == expected.keys()
     for k in expected:
         assert abs(got[k] - expected[k]) < 1e-15
@@ -334,7 +334,7 @@ def test_hamiltonian_term_count_dense_integrals():
     n_two = sum(4 - 2 * (p == r or q == s)
                 for p in range(n) for q in range(n)
                 for r in range(n) for s in range(n))
-    assert len(ham.terms) == 2 * n * n + n_two
+    assert [len(c) for c, _, _ in ham.groups] == [2 * n * n, n_two]
 
 
 def test_hamiltonian_is_hermitian_as_matrix():
@@ -344,12 +344,17 @@ def test_hamiltonian_is_hermitian_as_matrix():
 
 
 def test_fermion_operator_prunes_zero_terms():
-    assert FermionOperator.from_terms(2, [(0.0, ((0, True),))]).terms == ()
+    assert FermionOperator.from_terms(2, [(0.0, ((0, True),))]).groups == ()
 
 
 def test_fermion_operator_index_validation():
-    with pytest.raises(IntegralError):
-        FermionOperator.from_terms(2, [(1.0, ((2, True),))])
+    # an out-of-range mode fails in whichever group it sits
+    good = (1.0, ((1, True), (0, False)))
+    for bad in ((1.0, ((2, True),)), (1.0, ((-1, False),)),
+                (0.5, ((1, True), (0, True), (3, False), (0, False)))):
+        for terms in ([bad], [good, bad], [bad, good]):
+            with pytest.raises(IntegralError):
+                FermionOperator.from_terms(2, terms)
 
 
 # ---------------------------------------------------------------------------

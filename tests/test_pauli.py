@@ -178,6 +178,42 @@ def test_product_of_sums_matches_matrix_oracle():
             pauli_matrix(la) @ pauli_matrix(lb))
 
 
+def test_from_masks_equals_the_checked_constructor_on_merged_terms():
+    # from_masks skips __init__'s per-term checks: on the same merged
+    # terms, the checked constructor must give the same keys, key order
+    # and coefficient bits (dyadic coefficients sum exactly in any order)
+    rng = np.random.default_rng(29)
+    pruned = []
+    for n in (1, 4, 8):
+        size = 60
+        x, z = rng.integers(0, 2 ** n, (2, size))
+        k = rng.integers(0, 4, size)
+        re, im = rng.integers(-8, 9, (2, size))
+        coeffs = (re + 1j * im) / 8
+        # a third of the strings repeat with new coefficients, a third
+        # come back negated: those with no other copy cancel
+        again = rng.choice(size, size // 3, replace=False)
+        undo = rng.choice(size, size // 3, replace=False)
+        coeffs = np.concatenate([coeffs, coeffs[::-1][:size // 3],
+                                 -coeffs[undo]])
+        x, z, k = (np.concatenate([a, a[again], a[undo]]) for a in (x, z, k))
+        merged = {}
+        for xt, zt, kt, ct in zip(x.tolist(), z.tolist(), k.tolist(),
+                                  coeffs.tolist()):
+            phase = (1, 1j, -1, -1j)[(kt - bin(xt & zt).count("1")) % 4]
+            merged[xt, zt] = merged.get((xt, zt), 0) + ct * phase
+        def letters(xt, zt):
+            return "".join("IXZY"[(xt >> q & 1) + 2 * (zt >> q & 1)]
+                           for q in range(n))
+        checked = PauliSum(n, {letters(*key): merged[key]
+                               for key in sorted(merged)})
+        fast = PauliSum.from_masks(n, x, z, k, coeffs)
+        assert [(l, c.real.hex(), c.imag.hex()) for l, c in fast.items()] == [
+            (l, c.real.hex(), c.imag.hex()) for l, c in checked.items()]
+        pruned.append(len(merged) - len(checked))
+    assert pruned[-1] > 0     # 8 qubits: the negated strings cancel
+
+
 def test_masks_fit_63_qubits():
     x62 = PauliSum(63, {"I" * 62 + "X": 1.0})
     flips, signs, _, _ = x62.string_table()
