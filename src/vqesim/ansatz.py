@@ -2,8 +2,9 @@
 
 A symbolic rotation angle is stored as (parameter index, scale); under a
 parameter vector theta it is scale * theta[index]: ``Gate.angle_at`` in
-``bind``, and ``ParameterizedCircuit.angle_arrays`` for every gate at once
-in the engines, which run the unbound circuit at theta.
+``bind``, and the compiled program's angle arrays for every gate at once
+in the engines, which run the unbound circuit at theta and keep its
+programs on it (``ParameterizedCircuit.programs``).
 Hardware efficient layers use scale 1; the qUCC Pauli exponentials carry
 the 2*coefficient scale of their generator terms.
 """
@@ -61,26 +62,6 @@ class Gate:
         return scale * theta[idx]
 
 
-class Layout(tuple):
-    """A tuple that hashes itself once.
-
-    A plain tuple re-hashes every item on each ``hash()``, and a layout
-    keys the engines' compiled programs on every call.
-    """
-
-    def __new__(cls, items):
-        self = super().__new__(cls, items)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: hash again on unpickling
-        return type(self), (tuple(self),)
-
-
 @dataclass(frozen=True)
 class ParameterizedCircuit:
     n_qubits: int
@@ -105,27 +86,13 @@ class ParameterizedCircuit:
             missing = set(range(self.n_parameters)) - used
             raise AnsatzError(f"unreferenced parameter indices: {sorted(missing)}")
 
-    def __getstate__(self):   # a copy rebuilds its caches read-only
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("layout", "angle_arrays")}
+    def __getstate__(self):   # a copy compiles its own programs
+        return {k: v for k, v in self.__dict__.items() if k != "programs"}
 
     @functools.cached_property
-    def layout(self) -> tuple:
-        """(kind, qubits) of every gate: the key of the compiled programs."""
-        return Layout((g.kind, g.qubits) for g in self.gates)
-
-    @functools.cached_property
-    def angle_arrays(self) -> tuple:
-        """Read-only (index, scale, fixed) per gate: under theta extended by
-        one 0 at ``n_parameters`` a gate turns by scale * theta[index] +
-        fixed, which is ``Gate.angle_at(theta)`` for a rotation."""
-        params = [g.param or (self.n_parameters, 0.0) for g in self.gates]
-        arrays = (np.array([p[0] for p in params], dtype=np.intp),
-                  np.array([p[1] for p in params], dtype=float),
-                  np.array([g.angle or 0.0 for g in self.gates], dtype=float))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+    def programs(self) -> dict:
+        """Compiled programs by noise key (``simulator._program``)."""
+        return {}
 
     def bind(self, theta: Sequence[float]) -> "ParameterizedCircuit":
         theta = np.asarray(theta, dtype=float)

@@ -164,6 +164,9 @@ def _run_campaign(args) -> int:
                _noise_from_args(args, t1_us=t1))
               for label, value, fcidump, sidecar, n_shots, t1
               in _campaign_points(args)]
+    if len({p[0] for p in points}) < len(points):   # one file per label
+        raise ValidationError("sweep points must have distinct labels, got "
+                              + ", ".join(p[0] for p in points))
     out = _out_dir(args.out_dir)
     rows = []
     failures = []

@@ -12,7 +12,7 @@ whole particle-number sector with H = U + U^dagger - diag(U) applied as
 one operator, whose cost is linear in the stored entries, so splitting
 it saves nothing. A non-Hermitian sum is refused, since a solve that
 reads one triangle would return a number for it. The CLI reads the limit
-``MAX_QUBITS`` of a reference.
+``MAX_QUBITS`` of a reference. The 1-RDM reads the amplitudes directly.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .ansatz import _spin
-from .fermion import FermionOperator, jordan_wigner
-from .pauli import HERMITIAN_TOL, PauliSum
-from .simulator import Statevector, expectation_exact
+from .pauli import HERMITIAN_TOL, PauliSum, parity
+from .simulator import Statevector
 
 MAX_QUBITS = 16            # largest qubit count of a reference
 DENSE_MAX_QUBITS = 12      # largest qubit count of the dense solve
@@ -128,20 +127,25 @@ def ground_state(h: PauliSum, n_electrons: int,
 
 
 def one_rdm(state: Statevector, n_spatial: int) -> OneRdm:
-    """Spin-summed one-particle reduced density matrix and its NOONs."""
+    """Spin-summed one-particle reduced density matrix and its NOONs.
+
+    For P >= Q of one spin, Re <a+_P a_Q> sums conj(psi[z ^ 2^P ^ 2^Q])
+    psi[z] over the z with Q occupied and P empty (or P = Q), signed by
+    (-1)^(occupied modes strictly between Q and P), as Jordan-Wigner does.
+    """
     if state.n_qubits != 2 * n_spatial:
         raise ReferenceError("state qubit count must be 2 * n_spatial")
-    n_modes = state.n_qubits
+    psi = state.amplitudes
+    z = np.arange(psi.size)
     d = np.zeros((n_spatial, n_spatial))
     for p in range(n_spatial):
         for q in range(p + 1):
-            val = 0.0
             for P, Q in ((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)):
-                # 1/2 (a+_P a_Q + a+_Q a_P), alpha then beta
-                herm = FermionOperator.from_terms(n_modes, [
-                    (0.5, ((P, True), (Q, False))),
-                    (0.5, ((Q, True), (P, False)))])
-                val += expectation_exact(state, jordan_wigner(herm))
-            d[p, q] = d[q, p] = val
+                moved = z[((z >> Q) & 1 == 1) & ((z >> P) & 1 == (P == Q))]
+                between = ((1 << P) - 1) & ~((2 << Q) - 1)
+                sign = 1.0 - 2.0 * parity(moved & between)   # float: no wrap
+                d[p, q] += np.vdot(psi[moved ^ (1 << P) ^ (1 << Q)],
+                                   sign * psi[moved]).real
+            d[q, p] = d[p, q]
     noons = np.sort(np.linalg.eigvalsh(d))[::-1]
     return OneRdm(n_spatial=n_spatial, matrix=d, noons=noons)

@@ -11,12 +11,12 @@ The idle channel has one form: ``_superoperator(_idle_kraus(t, nm))``,
 which the program compiles once per wait length (``_idle_superoperators``).
 
 Both engines run a circuit at a parameter vector theta, never binding it:
-a rotation turns by scale * theta[index] (``angle_arrays``), as in
-``bind``, so the state equals that of the bound circuit bit for bit.
+a rotation turns by scale * theta[index] (the program's ``angles``), as
+in ``bind``, so the state equals that of the bound circuit bit for bit.
 
-Both engines run one program (``_program``), compiled once per gate
-layout (``ParameterizedCircuit.layout``, cached on the circuit) and, for
-rho, NoiseModel. Every one-qubit gate that acts on a qubit before any CNOT
+Both engines run one program (``_program``), compiled once per circuit
+(for rho, per NoiseModel) and kept in the circuit's memo ``programs``.
+Every one-qubit gate that acts on a qubit before any CNOT
 touches it folds into a product state psi0: one 2-vector per qubit, joined
 by outer products; rho starts as |psi0><psi0|. It covers the H/RY/RX
 prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC. After
@@ -239,24 +239,34 @@ class _Program(NamedTuple):   # see ``_program``
     fixed: np.ndarray        # (gates + 1, 2, 2): H/X/Y/Z, the identity last
     idle: np.ndarray | None  # (rows, 4, 4) superoperator of each row's wait
     ops: tuple               # (q, row) per fused run, (None, pair) per CNOT
+    angles: tuple            # (index, scale, fixed angle) per gate
 
 
-@functools.lru_cache(maxsize=8)
-def _program(n: int, layout: tuple, noise: tuple | None = None) -> _Program:
-    """The theta-independent plan of a run, read-only and shared.
+def _program(c: ParameterizedCircuit, noise: tuple | None = None) -> _Program:
+    """The theta-independent plan of a run of c, read-only.
+
+    Compiled once per ``noise`` into c's memo ``c.programs``, it lives as
+    long as c: circuits with equal gates, a bound copy too, compile one
+    each, and c keeps one per noise model it runs under. Two threads may
+    both compile c's first program; the first stored is kept.
 
     Row q < n of ``table`` lists the gates on qubit q before any CNOT
     touches it; they act on |0>, so each qubit starts in a product state.
     Each later row is a run, the gates on one qubit between two of its
-    CNOTs or after its last, fused into one 2x2 product. Gates index
-    ``layout``; index len(layout) is the identity that pads each row. An
-    op is (q, row) for a run on qubit q, or (None, (control, target)).
+    CNOTs or after its last, fused into one 2x2 product. Rows index
+    ``c.gates``; index len(c.gates) is the identity that pads each row.
+    An op is (q, row) for a run on qubit q, or (None, (control, target)).
     ``noise`` is None or (t1_us, t2_us, sorted duration items), the key of
     a NoiseModel. With noise, ``idle[row]`` is the superoperator of the
     wait that ends the run, else the identity: a qubit idles only before
     one of its CNOTs or up to the end, so after its run (maybe empty).
+    Gate i turns by scale[i] * theta[index[i]] + fixed[i] (``angles``)
+    under theta extended by one 0: ``Gate.angle_at(theta)``.
     """
-    idles = _idle_superoperators(n, layout, noise)
+    if noise in c.programs:
+        return c.programs[noise]
+    n, gates = c.n_qubits, c.gates
+    idles = _idle_superoperators(c, noise)
     rows: list[list[int]] = [[] for _ in range(n)]
     waits: list = [None] * n
     runs: dict[int, list[int]] = {}   # open run of each qubit past a CNOT
@@ -269,44 +279,48 @@ def _program(n: int, layout: tuple, noise: tuple | None = None) -> _Program:
             rows.append(run)
             waits.append(idle)
 
-    for i, (kind, qubits) in enumerate(layout):
-        if kind != "CNOT":
-            q = qubits[0]
+    for i, g in enumerate(gates):
+        if g.kind != "CNOT":
+            q = g.qubits[0]
             (runs[q] if q in runs else rows[q]).append(i)
             continue
-        for q in qubits:
+        for q in g.qubits:
             close(q, i)
             runs[q] = []
-        ops.append((None, qubits))
+        ops.append((None, g.qubits))
     for q in [*runs, *(q for q in range(n) if q not in runs)]:
-        close(q, len(layout))
+        close(q, len(gates))
     table = np.full((len(rows), max(map(len, rows), default=0) or 1),
-                    len(layout), dtype=np.intp)
+                    len(gates), dtype=np.intp)
     for row, run in zip(table, rows):
         row[:len(run)] = run
-    kinds = np.array([kind for kind, _ in layout], dtype=str)
+    kinds = np.array([g.kind for g in gates], dtype=str)
     rotations = tuple(_read_only(np.flatnonzero(kinds == r))
                       for r in ROTATIONS)
     fixed = np.array([_FIXED.get(k, np.zeros((2, 2))) for k in kinds]
                      + [np.eye(2)], dtype=complex)
     idle = None if noise is None else _read_only(np.array(
         [np.eye(4) if s is None else s for s in waits], dtype=complex))
-    return _Program(_read_only(table), rotations, _read_only(fixed), idle,
-                    tuple(ops))
+    params = [g.param or (c.n_parameters, 0.0) for g in gates]
+    angles = (np.array([p[0] for p in params], dtype=np.intp),
+              np.array([p[1] for p in params], dtype=float),
+              np.array([g.angle or 0.0 for g in gates], dtype=float))
+    return c.programs.setdefault(noise, _Program(
+        _read_only(table), rotations, _read_only(fixed), idle, tuple(ops),
+        tuple(map(_read_only, angles))))
 
 
-def _idle_superoperators(n: int, layout: tuple,
-                         noise: tuple | None) -> dict:
+def _idle_superoperators(c: ParameterizedCircuit, noise: tuple | None) -> dict:
     """{(q, i): superoperator} of each wait of qubit q that ends at gate i
-    of ``layout``, or at the circuit's end for i = len(layout)."""
+    of c, or at the circuit's end for i = len(c.gates)."""
     if noise is None:
         return {}
     nm = NoiseModel(noise[0], noise[1], dict(noise[2]))
-    sched = _schedule(n, layout, nm)
-    gate_at = {(q, start): i for i, ((_, qubits), (start, _))
-               in enumerate(zip(layout, sched.gate_spans)) for q in qubits}
+    sched = schedule_circuit(c, nm)
+    gate_at = {(q, start): i for i, (g, (start, _))
+               in enumerate(zip(c.gates, sched.gate_spans)) for q in g.qubits}
     # a wait on qubit q ends at the start of q's next gate or at the end
-    waits = {(q, gate_at.get((q, b), len(layout))): b - a
+    waits = {(q, gate_at.get((q, b), len(c.gates))): b - a
              for q, intervals in enumerate(sched.idle_intervals)
              for a, b in intervals}
     superops = {t: _superoperator(_idle_kraus(t, nm))
@@ -327,8 +341,8 @@ def _compiled_call(c: ParameterizedCircuit, theta: Sequence[float],
             f"expected {c.n_parameters} parameters, got {theta.shape}")
     if c.n_qubits > max_qubits:
         raise SimulationError(f"{c.n_qubits} qubits exceeds cap {max_qubits}")
-    prog = _program(c.n_qubits, c.layout, noise)
-    index, scale, fixed = c.angle_arrays
+    prog = _program(c, noise)
+    index, scale, fixed = prog.angles
     half = (scale * np.append(theta, 0.0)[index] + fixed) / 2.0
     cos, sin = np.cos(half), np.sin(half)
     m = prog.fixed.copy()
@@ -355,7 +369,7 @@ def run_statevector(c: ParameterizedCircuit,
     """Apply circuit c at parameters theta to |0...0>.
 
     Only the 2x2 products depend on theta (``_compiled_call``); the rest
-    is ``_program``, compiled once per gate layout.
+    is ``_program``, compiled once per circuit.
     """
     n = c.n_qubits
     ops, psi, stack = _compiled_call(c, theta, MAX_STATEVECTOR_QUBITS)
@@ -474,17 +488,13 @@ class Schedule:
 
 def schedule_circuit(c: ParameterizedCircuit, nm: NoiseModel) -> Schedule:
     """Each gate starts at the max end-time of its qubits' previous gates."""
-    return _schedule(c.n_qubits, c.layout, nm)
-
-
-def _schedule(n_qubits: int, layout, nm: NoiseModel) -> Schedule:
     ready: dict[int, float] = {}   # end of the last gate on each used qubit
     spans = []
-    idles: list[list[tuple[float, float]]] = [[] for _ in range(n_qubits)]
-    for kind, qubits in layout:
-        dur = float(nm.duration(kind))
-        start = max(ready.get(q, 0.0) for q in qubits)
-        for q in qubits:
+    idles: list[list[tuple[float, float]]] = [[] for _ in range(c.n_qubits)]
+    for g in c.gates:
+        dur = float(nm.duration(g.kind))
+        start = max(ready.get(q, 0.0) for q in g.qubits)
+        for q in g.qubits:
             if q in ready and ready[q] < start:
                 idles[q].append((ready[q], start))
             ready[q] = start + dur

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vqesim.ansatz import (AnsatzError, Gate, Layout, ParameterizedCircuit,
-                           build_he, build_qucc_generator,
-                           enumerate_excitations, he_parameter_count,
-                           mp2_initial_amplitudes, trotterize_qucc)
+from vqesim.ansatz import (AnsatzError, Gate, ParameterizedCircuit, build_he,
+                           build_qucc_generator, enumerate_excitations,
+                           he_parameter_count, mp2_initial_amplitudes,
+                           trotterize_qucc)
 from vqesim.fermion import MolecularIntegrals, parse_fcidump
+from vqesim.simulator import _program, run_statevector
 
 from oracles import circuit_unitary, fermion_matrix, rotation
 
@@ -64,33 +65,18 @@ def test_is_bound_agrees_with_a_walk_over_the_gates(toy4_problem):
         assert c.n_parameters > 0 and bound.n_parameters == 0
 
 
-def test_layout_is_cached_and_names_every_gate():
-    c = build_he("v3", 3, 1)
-    assert c.layout is c.layout
-    assert c.layout == tuple((g.kind, g.qubits) for g in c.gates)
-    assert c.bind(np.zeros(c.n_parameters)).layout == c.layout
-
-
-def test_layout_hash_is_recomputed_on_unpickling():
-    layout = build_he("v3", 3, 1).layout
-    assert hash(layout) == hash(tuple(layout))
-    # a hash carried over from another process (string hashes are salted
-    # per process) must not survive the round trip
-    stale = Layout(layout)
-    stale._hash += 1
-    copy = pickle.loads(pickle.dumps(stale))
-    assert copy == layout and hash(copy) == hash(tuple(layout))
-
-
 def test_pickled_circuit_rebuilds_its_caches_read_only():
     c = build_he("v3", 3, 1)
-    c.layout, c.angle_arrays        # cache both before the round trip
+    theta = np.linspace(-1, 1, c.n_parameters)
+    psi = run_statevector(c, theta).amplitudes   # compiles c's program
     copy = pickle.loads(pickle.dumps(c))
-    assert copy == c and copy.layout == c.layout
-    for a, b in zip(copy.angle_arrays, c.angle_arrays):
-        np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError):
-            a[0] = 1
+    assert copy == c and c.programs and not copy.programs
+    np.testing.assert_array_equal(run_statevector(copy, theta).amplitudes, psi)
+    prog = _program(copy)
+    assert prog is not _program(c) and list(copy.programs) == [None]
+    for a in (*prog.angles, prog.table, prog.fixed):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_bind_is_idempotent_and_checks_length():

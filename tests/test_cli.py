@@ -378,6 +378,26 @@ def test_fcidump_sweep_with_params(tmp_path, h2_path, toy4_path):
     assert (tmp_path / "point_param_1.6.json").exists()
 
 
+@pytest.mark.parametrize("command, flag, values", [
+    ("vqe", "--sweep-params", ["1", "1"]),
+    # both read param_1: a label keeps 6 significant digits
+    ("vqe", "--sweep-params", ["1.0000001", "1.0000002"]),
+    ("sweep-shots", "--shots-list", ["0", "0"]),
+    ("sweep-t1", "--t1-list", ["10", "10"]),
+])
+def test_repeated_point_label_is_validation_error(tmp_path, h2_path,
+                                                  toy4_path, capsys,
+                                                  command, flag, values):
+    # one point file per label: a repeated label would overwrite a point
+    out = tmp_path / "out"
+    files = [h2_path, toy4_path] if flag == "--sweep-params" else h2_path
+    argv = vqe_args(h2_path, out, **{flag: values, "--fcidump": files})
+    argv[0] = command
+    assert main(argv) == 1
+    assert "distinct labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_default(tmp_path, h2_path, monkeypatch):
     monkeypatch.setenv("VQESIM_OUT_DIR", str(tmp_path / "envout"))
     rc = main(["geometry", "--distortion", "2", "--params", "2.0"])

@@ -154,6 +154,24 @@ def test_one_rdm_trace_counts_electrons(h2_problem):
     assert rdm.noons.min() > -1e-9 and rdm.noons.max() < 2 + 1e-9
 
 
+@pytest.mark.parametrize("n_spatial", [2, 3, 4])
+def test_one_rdm_matches_the_ladder_oracle_on_random_states(n_spatial):
+    # every pair of both spins, with up to 5 modes between P and Q
+    n = 2 * n_spatial
+    rng = np.random.default_rng(52 + n)
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    psi /= np.linalg.norm(psi)
+    expected = np.zeros((n_spatial, n_spatial))
+    for p in range(n_spatial):
+        for q in range(n_spatial):
+            for spin in (0, 1):
+                op = FermionOperator.from_terms(n, [
+                    (1.0, ((2 * p + spin, True), (2 * q + spin, False)))])
+                expected[p, q] += np.vdot(psi, fermion_matrix(op) @ psi).real
+    np.testing.assert_allclose(one_rdm(Statevector(n, psi), n_spatial).matrix,
+                               expected, rtol=0, atol=1e-12)
+
+
 def test_one_rdm_dimension_mismatch():
     with pytest.raises(ReferenceError):
         one_rdm(Statevector.zero_state(3), n_spatial=2)

@@ -1,5 +1,8 @@
 import json
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,7 +171,7 @@ def test_batched_build_matches_oracle_gate_products(name, noisy):
     theta = np.random.default_rng(66).uniform(-np.pi, np.pi, c.n_parameters)
     nm = NoiseModel()
     key = (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
-    prog = simulator._program(c.n_qubits, c.layout, key if noisy else None)
+    prog = simulator._program(c, key if noisy else None)
     ops, psi0, stack = simulator._compiled_call(
         c, theta, MAX_STATEVECTOR_QUBITS, key if noisy else None)
     assert ops == prog.ops
@@ -230,13 +233,53 @@ def test_writing_into_a_compiled_table_raises_and_changes_nothing():
     key = (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
     psi = run_statevector(c, theta).amplitudes
     rho = run_density_matrix(c, nm, theta).rho
-    prog = simulator._program(c.n_qubits, c.layout, key)
-    for table in (*c.angle_arrays, prog.table, *prog.rotations, prog.fixed,
+    prog = simulator._program(c, key)
+    for table in (*prog.angles, prog.table, *prog.rotations, prog.fixed,
                   prog.idle):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
     np.testing.assert_array_equal(run_statevector(c, theta).amplitudes, psi)
     np.testing.assert_array_equal(run_density_matrix(c, nm, theta).rho, rho)
+
+
+def test_each_circuit_compiles_its_program_once_per_noise_key():
+    c = random_parameterized_circuit(3, 20, 2, np.random.default_rng(70))
+    keys = [None] + [
+        (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
+        for nm in (NoiseModel(), NoiseModel(t1_us=0.1, t2_us=0.1))]
+    programs = [simulator._program(c, key) for key in keys]
+    assert all(simulator._program(c, key) is prog
+               for key, prog in zip(keys, programs))
+    twin = ParameterizedCircuit(c.n_qubits, c.gates, c.n_parameters)
+    assert twin == c and simulator._program(twin) is not programs[0]
+    assert len(set(map(id, programs))) == 3 and list(c.programs) == keys
+
+
+def test_threads_compiling_one_circuit_run_one_program():
+    # trial threads share a circuit and race to compile its first program:
+    # the first one stored is the one every thread runs
+    c = random_parameterized_circuit(4, 60, 3, np.random.default_rng(71))
+    theta = np.random.default_rng(72).uniform(-np.pi, np.pi, c.n_parameters)
+    twin = ParameterizedCircuit(c.n_qubits, c.gates, c.n_parameters)
+    expected = run_statevector(twin, theta).amplitudes
+    barrier = threading.Barrier(8)
+
+    def run():
+        barrier.wait(timeout=10)
+        return simulator._program(c), run_statevector(c, theta).amplitudes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(run) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(c.programs) == [None]
+    for prog, psi in results:
+        assert prog is c.programs[None]
+        np.testing.assert_array_equal(psi, expected)
 
 
 @pytest.mark.parametrize("length_delta", [-1, 1])
@@ -791,7 +834,7 @@ def test_noisy_run_makes_one_pass_per_fused_run(monkeypatch, toy4_problem):
                         lambda *args: calls.append(1) or apply_2q(*args))
     theta = np.random.default_rng(65).uniform(-1, 1, c.n_parameters)
     run_density_matrix(c, nm, theta)
-    ops = simulator._program(c.n_qubits, c.layout, (
+    ops = simulator._program(c, (
         nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))).ops
     runs = sum(1 for q, _ in ops if q is not None)
     one_qubit_gates = sum(1 for g in c.gates if g.kind != "CNOT")
