@@ -46,11 +46,14 @@ def _write_json(path: Path, data) -> None:
 
 
 def cmd_geometry(args) -> int:
+    # every geometry is built and named before any file is written
+    files = {f"benzene_d{args.distortion}_{value:g}.xyz":
+             DISTORTIONS[args.distortion](value) for value in args.params}
+    if len(files) < len(args.params):
+        raise ValidationError("--params must give distinct file names, got "
+                              f"{args.params}")
     out = _out_dir(args.out_dir)
-    builder = DISTORTIONS[args.distortion]
-    for value in args.params:
-        geom = builder(value)
-        name = f"benzene_d{args.distortion}_{value:g}.xyz"
+    for name, geom in files.items():
         (out / name).write_text(geom.to_xyz())
         print(f"wrote {out / name}")
     return 0

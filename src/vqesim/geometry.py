@@ -70,8 +70,8 @@ _RING_NEIGHBORS = [((i - 1) % 6, (i + 1) % 6) for i in range(6)]
 
 def distortion1(r1: float) -> MoleculeGeometry:
     """Uniform deformation: regular hexagon with C-C distance r1."""
-    if r1 <= 0:
-        raise GeometryError("r1 must be positive")
+    if not 0 < r1 < np.inf:
+        raise GeometryError(f"r1 must be positive and finite, got {r1}")
     carbons = _hexagon_carbons(r1)
     hydrogens = carbons * (1.0 + CH_DISTANCE / r1)
     return _assemble(carbons, hydrogens, f"distortion=1 param={r1:g}")
@@ -83,8 +83,8 @@ def distortion2(r2: float) -> MoleculeGeometry:
     The side carbons sit at (+-1.41/2, +-r2/2); the two lone carbons keep
     their equilibrium lateral offset (+-1.41, 0) on the midline.
     """
-    if r2 <= 0:
-        raise GeometryError("r2 must be positive")
+    if not 0 < r2 < np.inf:
+        raise GeometryError(f"r2 must be positive and finite, got {r2}")
     half_side = CC_EQUILIBRIUM / 2.0
     carbons = np.array([
         [CC_EQUILIBRIUM, 0.0, 0.0],
@@ -105,8 +105,8 @@ def distortion3(r3: float) -> MoleculeGeometry:
     equilibrium hexagon; the slide axis runs through the midpoints of
     the two cut bonds (2-3 and 5-0).
     """
-    if r3 < 0:
-        raise GeometryError("r3 must be non-negative")
+    if not 0 <= r3 < np.inf:
+        raise GeometryError(f"r3 must be non-negative and finite, got {r3}")
     carbons = _hexagon_carbons(CC_EQUILIBRIUM)
     hydrogens = carbons * (1.0 + CH_DISTANCE / CC_EQUILIBRIUM)
     m1 = 0.5 * (carbons[2] + carbons[3])

@@ -1,4 +1,4 @@
-"""Exact algebra of Pauli strings and weighted Pauli sums.
+"""Pauli strings and weighted Pauli sums, stored as term tables.
 
 Conventions used throughout the package:
 
@@ -6,20 +6,19 @@ Conventions used throughout the package:
   ``"XZI"`` puts X on qubit 0 and Z on qubit 1.
 * Qubit 0 is the least significant bit of a computational-basis index,
   so the dense matrix of a string is ``P[q_{n-1}] (x) ... (x) P[q_0]``.
-* On up to 63 qubits a string is also i^k X^x Z^z with bit masks x, z:
-  ``string_actions`` and ``PauliSum.from_masks`` convert between the two
-  forms, and ``mask_product`` is the one product rule of strings, for
-  ``PauliSum.__mul__`` and Jordan-Wigner alike.
+* A string is also i^k X^x Z^z with bit masks x, z, so a sum has at most
+  63 qubits: ``string_actions`` turns letters into masks, and
+  ``mask_product`` is the one product rule of strings (Jordan-Wigner's).
 
-A ``PauliSum`` compiles once into its term table (``string_table``, built
-by ``string_actions``), and ``basis_matrix`` assembles every matrix of
-the sum from it, always sparse: the whole space for <H>, a
-particle-number sector for the exact references. Each such matrix is
-the upper triangle U of the Hermitian H with its diagonal, and every
-reader rebuilds H = U + U^dagger - diag(U). U is real (float64) when H
-is, as for every real-integral molecular Hamiltonian, and its indices
-are int32: a quarter of the bytes of a full complex CSR with int64
-indices.
+A ``PauliSum`` is its term table (``string_table``): flip mask, sign
+mask, prefactor and coefficient of each distinct string, in letter
+order; letters are decoded from it only on request. ``basis_matrix``
+assembles every matrix of the sum from the table, always sparse: the
+whole space for <H>, a particle-number sector for the exact references.
+Each is the upper triangle U of the Hermitian H with its diagonal, and
+every reader rebuilds H = U + U^dagger - diag(U). U is real (float64)
+when H is, as for every real-integral molecular Hamiltonian, and its
+indices are int32.
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ PRUNE_TOL = 1e-14          # |coefficient| that counts as zero, package-wide
 MAX_MASK_QUBITS = 63       # largest n whose strings fit a signed 64-bit mask
 
 LETTERS = "IXYZ"
+_LETTER_CODES = np.frombuffer(LETTERS.encode("ascii"), dtype=np.uint8)
 
 _I_POWERS = np.array([1, 1j, -1, -1j])   # i^k for k = 0, 1, 2, 3
-
-# letter of one qubit from its (x bit, z bit): X^x Z^z with XZ = -iY
-_LETTER_CODES = np.frombuffer(b"IXZY", dtype=np.uint8)
 
 # largest |Im coeff| of a sum that expectation values accept as Hermitian
 HERMITIAN_TOL = 1e-10
@@ -68,6 +65,14 @@ def string_actions(letters: Iterable[str]
     return flips, signs, _I_POWERS[np.count_nonzero(y, axis=1) % 4]
 
 
+def _letter_indices(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """(T, n) index into LETTERS of each qubit of X^x Z^z: 2 z_q + (x_q ^ z_q),
+    so I < X < Y < Z and these rows sort as the letter strings do."""
+    shifts = np.arange(n)
+    xq, zq = (x[:, None] >> shifts) & 1, (z[:, None] >> shifts) & 1
+    return 2 * zq + (xq ^ zq)
+
+
 def parity(x: np.ndarray) -> np.ndarray:
     """Elementwise popcount(x) mod 2 of a non-negative integer array."""
     return np.bitwise_count(x) & 1
@@ -77,113 +82,104 @@ def mask_product(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray,
                  z2: np.ndarray) -> tuple[np.ndarray, ...]:
     """(x, z, k) with (X^x1 Z^z1)(X^x2 Z^z2) = i^k X^x Z^z, elementwise.
 
-    Moving Z^z1 past X^x2 flips the sign once per shared qubit:
+    The one product rule, which Jordan-Wigner runs. Moving Z^z1 past X^x2
+    flips the sign once per shared qubit:
     (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^popcount(z1 & x2) X^(x1^x2) Z^(z1^z2).
     """
     return x1 ^ x2, z1 ^ z2, 2 * np.bitwise_count(z1 & x2)
 
 
 class PauliSum:
-    """Weighted sum of Pauli strings, keyed by the letter string.
+    """Weighted sum of Pauli strings, stored as its read-only term table.
 
-    Terms with |coefficient| <= PRUNE_TOL are dropped on construction and
-    after every arithmetic operation. Instances are treated as immutable,
-    which is what lets them cache their compiled sparse matrix.
+    On construction equal strings are merged, terms with |coefficient|
+    <= PRUNE_TOL dropped and the rest sorted by their letters. Instances
+    are immutable, so they cache their compiled sparse matrix and letters.
     """
 
     def __init__(self, n_qubits: int, terms: Mapping[str, complex] | None = None):
-        if n_qubits <= 0:
-            raise PauliError("n_qubits must be positive")
-        self.n_qubits = n_qubits
-        self._terms: Dict[str, complex] = {}
-        self._sparse = None
-        self._diagonal = None
-        self._table = None
-        self._max_imag = None
-        for letters, coeff in (terms or {}).items():
+        terms = terms or {}
+        for letters in terms:
             if len(letters) != n_qubits:
                 raise PauliError(
                     f"term {letters!r} does not match n_qubits={n_qubits}")
             bad = set(letters) - set(LETTERS)
             if bad:
                 raise PauliError(f"invalid Pauli letters: {sorted(bad)}")
-            c = 0 + complex(coeff)   # a -0.0 part is stored as +0.0
-            if abs(c) > PRUNE_TOL:
-                self._terms[letters] = c
+        # a letter string with coefficient c is c i^popcount(x & z) X^x Z^z
+        flips, signs, _ = string_actions(terms)
+        coeffs = np.array([complex(c) for c in terms.values()], dtype=complex)
+        self._store(n_qubits, flips, signs, coeffs)
+
+    @classmethod
+    def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,
+                   k: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """Sum of coeffs[t] i^k[t] X^x[t] Z^z[t], equal strings merged."""
+        # each X Z on one qubit is -i Y (mod 4, so an unsigned k may wrap)
+        values = coeffs * _I_POWERS[(k - np.bitwise_count(x & z)) % 4]
+        out = cls.__new__(cls)
+        out._store(n_qubits, x, z, values)
+        return out
+
+    def _store(self, n_qubits: int, x: np.ndarray, z: np.ndarray,
+               values: np.ndarray) -> None:
+        # merge, prune and sort X^x Z^z, each with its letter coefficient
+        if not 0 < n_qubits <= MAX_MASK_QUBITS:
+            raise PauliError(f"{n_qubits} qubits, not in 1..{MAX_MASK_QUBITS}")
+        # equal strings share a key: the pair of ranks of their x and z masks
+        xs, x_rank = np.unique(x, return_inverse=True)
+        zs, z_rank = np.unique(z, return_inverse=True)
+        keys, where = np.unique(x_rank * len(zs) + z_rank, return_inverse=True)
+        coeffs = np.zeros(len(keys), dtype=complex)   # -0.0 parts sum to +0.0
+        np.add.at(coeffs, where, values)
+        keep = np.flatnonzero(np.abs(coeffs) > PRUNE_TOL)   # XY - YX cancels
+        x = xs[keys[keep] // len(zs)].astype(np.int64)
+        z = zs[keys[keep] % len(zs)].astype(np.int64)
+        # letter order: qubit 0 is the primary key, the last key of lexsort
+        order = np.lexsort(_letter_indices(x, z, n_qubits).T[::-1])
+        x, z, coeffs = x[order], z[order], coeffs[keep[order]]
+        table = (x, z, _I_POWERS[np.bitwise_count(x & z) % 4], coeffs)
+        for a in table:
+            a.flags.writeable = False
+        self.n_qubits = n_qubits
+        self._table = table
+        self._max_imag = float(np.max(np.abs(coeffs.imag), initial=0.0))
+        self._letters = self._sparse = self._diagonal = None
+
+    def _letter_strings(self) -> list[str]:
+        # decoded once, on the first call that asks for letters
+        if self._letters is None:
+            n = self.n_qubits
+            codes = _LETTER_CODES[_letter_indices(*self._table[:2], n)]
+            text = codes.tobytes().decode("ascii")
+            self._letters = [text[i:i + n] for i in range(0, len(text), n)]
+        return self._letters
 
     @property
     def terms(self) -> Dict[str, complex]:
-        return dict(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def items(self):
-        return self._terms.items()
+        """A new {letters: coefficient} dict, in letter order."""
+        return dict(self.sorted_items())
 
     def sorted_items(self) -> list[tuple[str, complex]]:
-        return sorted(self._terms.items())
+        return list(zip(self._letter_strings(), self._table[3].tolist()))
+
+    def __len__(self):
+        return len(self._table[3])
 
     def __eq__(self, other):
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n_qubits == other.n_qubits and self._terms == other._terms
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if self.n_qubits != other.n_qubits:
-            raise PauliError("qubit-count mismatch in addition")
-        merged = dict(self._terms)
-        for letters, coeff in other._terms.items():
-            merged[letters] = merged.get(letters, 0) + coeff
-        return PauliSum(self.n_qubits, merged)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, PauliSum):
-            if self.n_qubits != other.n_qubits:
-                raise PauliError("qubit-count mismatch in product")
-            # a term is coeff * pref * X^flip Z^sign: all pairs in one pass
-            fa, sa, pa, ca = self.string_table()
-            fb, sb, pb, cb = other.string_table()
-            x, z, k = mask_product(fa[:, None], sa[:, None], fb, sb)
-            values = np.outer(ca * pa, cb * pb)
-            return PauliSum.from_masks(self.n_qubits, x.ravel(), z.ravel(),
-                                       k.ravel(), values.ravel())
-        return PauliSum(self.n_qubits,
-                        {k: v * complex(other) for k, v in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "PauliSum":
-        return PauliSum(self.n_qubits,
-                        {k: np.conj(v) for k, v in self._terms.items()})
+        return self.n_qubits == other.n_qubits and all(
+            np.array_equal(a, b) for a, b in zip(self._table, other._table))
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        # the largest |Im coeff| is cached; the tolerance is applied per call
-        if self._max_imag is None:
-            self._max_imag = float(np.max(
-                np.abs(np.imag(list(self._terms.values()))), initial=0.0))
         return self._max_imag <= tol
 
     def string_table(self) -> tuple[np.ndarray, ...]:
-        """(flips, signs, prefs, coeffs) of the terms in sorted order.
-
-        This is the compiled form of the sum: the first three are
-        ``string_actions`` of the letter strings, and ``basis_matrix`` and
-        the simulator's expectation values read only this table. The
-        arrays are built once, cached and read-only.
-        """
-        if self._table is None:
-            items = self.sorted_items()
-            table = string_actions(l for l, _ in items) + (
-                np.array([c for _, c in items], dtype=complex),)
-            for a in table:
-                a.flags.writeable = False
-            self._table = table
+        """(flips, signs, prefs, coeffs) of the terms in letter order: the
+        stored form of the sum, with masks and prefactors as
+        ``string_actions`` gives them. ``basis_matrix`` and the simulator's
+        expectation values read only this table. The arrays are read-only."""
         return self._table
 
     def basis_matrix(self, basis: np.ndarray) -> scipy.sparse.csr_array:
@@ -248,32 +244,6 @@ class PauliSum:
             self._diagonal = self.sparse_matrix().diagonal()
             self._diagonal.flags.writeable = False
         return self._diagonal
-
-    @classmethod
-    def from_masks(cls, n_qubits: int, x: np.ndarray, z: np.ndarray,
-                   k: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
-        """Sum of coeffs[t] i^k[t] X^x[t] Z^z[t], equal strings merged.
-
-        Its terms are valid, merged and pruned as built, so they skip the
-        checks of ``__init__``."""
-        # each X Z on one qubit is -i Y (mod 4, so an unsigned k may wrap)
-        values = coeffs * _I_POWERS[(k - np.bitwise_count(x & z)) % 4]
-        # equal strings share a key: the pair of ranks of their x and z masks
-        xs, x_rank = np.unique(x, return_inverse=True)
-        zs, z_rank = np.unique(z, return_inverse=True)
-        keys, where = np.unique(x_rank * len(zs) + z_rank, return_inverse=True)
-        total = np.zeros(len(keys), dtype=complex)
-        np.add.at(total, where, values)
-        keep = np.abs(total) > PRUNE_TOL      # most cancel, as XY - YX does
-        keys, total = keys[keep], total[keep]
-        shifts = np.arange(n_qubits)
-        x_bits = (xs[keys // len(zs), None] >> shifts) & 1
-        z_bits = (zs[keys % len(zs), None] >> shifts) & 1
-        text = _LETTER_CODES[x_bits + 2 * z_bits].tobytes().decode("ascii")
-        letters = [text[i:i + n_qubits] for i in range(0, len(text), n_qubits)]
-        out = cls(n_qubits)
-        out._terms = dict(zip(letters, total.tolist()))
-        return out
 
     def __repr__(self):
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={len(self)})"

@@ -36,6 +36,31 @@ def test_geometry_multiple_params(tmp_path):
     assert (tmp_path / "benzene_d3_1.5.xyz").exists()
 
 
+@pytest.mark.parametrize("params", [["--params", "1.41", "nan"],
+                                    ["--params", "1.41", "inf"],
+                                    ["--params=-inf"]],
+                         ids=["nan", "inf", "minus_inf"])
+def test_geometry_non_finite_param_is_validation_error(tmp_path, params):
+    # every geometry is built before any file is written
+    rc = main(["geometry", "--distortion", "1", *params,
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("params", [["1.41", "1.41"],
+                                    ["1.4100001", "1.4100002"]],
+                         ids=["equal", "equal_label"])
+def test_geometry_repeated_file_name_is_validation_error(tmp_path, capsys,
+                                                         params):
+    # "{:g}" names both benzene_d1_1.41.xyz: one would overwrite the other
+    rc = main(["geometry", "--distortion", "1", "--params", *params,
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "wrote" not in capsys.readouterr().out
+
+
 def test_exact_command(tmp_path, h2_path):
     out = tmp_path / "exact.json"
     rc = main(["exact", "--fcidump", h2_path, "--out", str(out)])

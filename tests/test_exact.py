@@ -197,7 +197,7 @@ def test_ground_energy_invariant_under_qubit_permutation(h2_problem):
     rng = np.random.default_rng(51)
     perm = rng.permutation(4)
     relabeled = {}
-    for letters, coeff in h2_problem.hamiltonian.items():
+    for letters, coeff in h2_problem.hamiltonian.sorted_items():
         new = [""] * 4
         for q, l in enumerate(letters):
             new[perm[q]] = l

@@ -163,6 +163,15 @@ def test_d3_rejects_negative():
         distortion3(-0.1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("builder", [distortion1, distortion2, distortion3])
+def test_non_finite_parameter_is_rejected(builder, value):
+    # NaN passes a plain "r <= 0" check and would write nan coordinates
+    with pytest.raises(GeometryError):
+        builder(value)
+
+
 # ---------------------------------------------------------------------------
 # shared properties and XYZ format
 
