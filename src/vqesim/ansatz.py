@@ -106,42 +106,6 @@ class ParameterizedCircuit:
         return ParameterizedCircuit(self.n_qubits, gates, 0,
                                     dict(self.metadata))
 
-    def serialize(self) -> str:
-        """One gate per line: `KIND q0 [q1] [p<idx>*<scale> | angle]`."""
-        lines = []
-        for g in self.gates:
-            parts = [g.kind] + [str(q) for q in g.qubits]
-            if g.param is not None:
-                idx, scale = g.param
-                parts.append(f"p{idx}" if scale == 1.0 else f"p{idx}*{scale!r}")
-            elif g.angle is not None:
-                parts.append(repr(g.angle))
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
-    @classmethod
-    def deserialize(cls, text: str, n_qubits: int,
-                    n_parameters: int = 0) -> "ParameterizedCircuit":
-        gates = []
-        for line in text.splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            kind = parts[0]
-            if kind == "CNOT":
-                gates.append(Gate(kind, (int(parts[1]), int(parts[2]))))
-            elif kind in FIXED:
-                gates.append(Gate(kind, (int(parts[1]),)))
-            else:
-                q = int(parts[1])
-                tok = parts[2]
-                if tok.startswith("p"):   # p<idx> or p<idx>*<scale>
-                    p, _, s = tok[1:].partition("*")
-                    gates.append(Gate(kind, (q,), param=(int(p), float(s or 1.0))))
-                else:
-                    gates.append(Gate(kind, (q,), angle=float(tok)))
-        return cls(n_qubits, tuple(gates), n_parameters)
-
 
 def he_parameter_count(variant: str, n_qubits: int, depth: int) -> int:
     if variant in ("v1", "v2"):

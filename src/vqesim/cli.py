@@ -158,6 +158,19 @@ def _check_initial(args) -> None:
         raise ValidationError("MP2 initialization requires qucc")
 
 
+def _prepare_input(args, fcidump, sidecar):
+    """What the points on one (FCIDUMP, sidecar) share: the problem, the
+    circuit, its start, and the exact and Hartree-Fock energies."""
+    problem = _problem_from_args(args, fcidump=fcidump, sidecar=sidecar)
+    circuit, gen = build_ansatz(args.ansatz, problem, depth=args.depth)
+    initial = (mp2_vector(problem, gen) if args.initial == "mp2"
+               else args.initial)
+    reference = (ground_state(problem.hamiltonian, problem.n_electrons,
+                              problem.e_core).ground_energy
+                 if problem.n_qubits <= MAX_QUBITS else None)
+    return problem, circuit, initial, reference, hf_energy(problem)
+
+
 def _run_campaign(args) -> int:
     _check_counts(args)
     _check_initial(args)
@@ -173,14 +186,17 @@ def _run_campaign(args) -> int:
     out = _out_dir(args.out_dir)
     rows = []
     failures = []
+    shared_key = shared = None
     campaign_cfg = {k: v for k, v in sorted(vars(args).items())
                     if k != "func" and v is not None}
     for label, value, fcidump, sidecar, n_shots, noise in points:
         try:
-            problem = _problem_from_args(args, fcidump=fcidump, sidecar=sidecar)
-            circuit, gen = build_ansatz(args.ansatz, problem, depth=args.depth)
-            initial = (mp2_vector(problem, gen) if args.initial == "mp2"
-                       else args.initial)
+            # consecutive points on one input share its preparation; one
+            # that failed is tried again, so each of its points records it
+            if shared_key != (fcidump, sidecar):
+                shared = _prepare_input(args, fcidump, sidecar)
+                shared_key = (fcidump, sidecar)
+            problem, circuit, initial, reference, initial_energy = shared
             cfg = VqeConfig(max_iterations=args.max_iter,
                             optimizer=args.optimizer, n_shots=n_shots,
                             noise=noise, initial_guess=initial,
@@ -188,11 +204,6 @@ def _run_campaign(args) -> int:
             ensemble = run_trials(circuit, problem.hamiltonian,
                                   problem.e_core, cfg, args.trials,
                                   jobs=args.jobs)
-            reference = (ground_state(problem.hamiltonian,
-                                      problem.n_electrons,
-                                      problem.e_core).ground_energy
-                         if problem.n_qubits <= MAX_QUBITS else None)
-            initial_energy = hf_energy(problem)
             point = ensemble.to_json_dict(include_trace=args.save_traces)
             point["sweep_value"] = value
             point["reference_energy"] = reference

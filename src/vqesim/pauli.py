@@ -146,6 +146,15 @@ class PauliSum:
         self._max_imag = float(np.max(np.abs(coeffs.imag), initial=0.0))
         self._letters = self._sparse = self._diagonal = None
 
+    def __getstate__(self):   # a copy rebuilds its caches
+        return (self.n_qubits, self._table, self._max_imag)
+
+    def __setstate__(self, state):
+        self.n_qubits, self._table, self._max_imag = state
+        for a in self._table:
+            a.flags.writeable = False
+        self._letters = self._sparse = self._diagonal = None
+
     def _letter_strings(self) -> list[str]:
         # decoded once, on the first call that asks for letters
         if self._letters is None:

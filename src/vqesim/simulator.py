@@ -105,8 +105,9 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
-        """The keys of ``to_json``, each optional (table-1 values); any
-        other key, or a gate kind not in the table, is an error."""
+        """A JSON object with the optional keys ``t1_us``, ``t2_us`` and
+        ``durations_ns`` (gate kind to ns), each defaulting to table 1;
+        any other key, or a gate kind not in the table, is an error."""
         data = json.loads(text)
         if not (isinstance(data, dict)
                 and isinstance(data.get("durations_ns", {}), dict)):
@@ -120,10 +121,6 @@ class NoiseModel:
                    t2_us=data.get("t2_us", TABLE1_T2_US),
                    durations_ns={**TABLE1_DURATIONS_NS, **durations})
 
-    def to_json(self) -> str:
-        return json.dumps({"t1_us": self.t1_us, "t2_us": self.t2_us,
-                           "durations_ns": self.durations_ns}, indent=2)
-
 
 @dataclass
 class Statevector:
@@ -134,12 +131,6 @@ class Statevector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2 ** self.n_qubits,):
             raise SimulationError("amplitude vector has wrong length")
-
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> "Statevector":
-        amp = np.zeros(2 ** n_qubits, dtype=complex)
-        amp[0] = 1.0
-        return cls(n_qubits, amp)
 
 
 @dataclass
@@ -152,10 +143,6 @@ class DensityMatrix:
         dim = 2 ** self.n_qubits
         if self.rho.shape != (dim, dim):
             raise SimulationError("density matrix has wrong shape")
-
-    @classmethod
-    def from_statevector(cls, sv: Statevector) -> "DensityMatrix":
-        return cls(sv.n_qubits, np.outer(sv.amplitudes, sv.amplitudes.conj()))
 
 
 # ---------------------------------------------------------------------------

@@ -88,21 +88,6 @@ def test_bind_is_idempotent_and_checks_length():
         c.bind(theta[:-1])
 
 
-def test_serialize_round_trip():
-    c = build_he("v3", 4, 2)
-    text = c.serialize()
-    c2 = ParameterizedCircuit.deserialize(text, 4, c.n_parameters)
-    assert c2.gates == c.gates
-
-
-def test_serialize_round_trip_with_scales_and_angles():
-    gates = (Gate("H", (0,)), Gate("RZ", (1,), param=(0, -0.75)),
-             Gate("CNOT", (0, 1)), Gate("RX", (1,), angle=1.234567))
-    c = ParameterizedCircuit(2, gates, 1)
-    c2 = ParameterizedCircuit.deserialize(c.serialize(), 2, 1)
-    assert c2.gates == c.gates
-
-
 # ---------------------------------------------------------------------------
 # hardware-efficient variants
 

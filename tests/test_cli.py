@@ -173,13 +173,18 @@ def test_mp2_with_short_orbital_energies_records_integral_error(tmp_path,
     side = tmp_path / "side.json"
     side.write_text(json.dumps({"orbital_energies": [-0.5, 0.3]}))
     out = tmp_path / "out"
-    rc = main(vqe_args(toy4_path, out, **{"--sidecar": str(side),
-                                          "--ansatz": "qucc",
-                                          "--initial": "mp2",
-                                          "--trials": "1", "--max-iter": "3"}))
-    assert rc == 2
-    (failure,) = read_json(out / "campaign.json")["failures"]
-    assert failure["error"].startswith("IntegralError: orbital_energies")
+    argv = vqe_args(toy4_path, out, **{"--sidecar": str(side),
+                                       "--ansatz": "qucc", "--initial": "mp2",
+                                       "--trials": "1", "--max-iter": "3"})
+    argv[0] = "sweep-t1"
+    # the points share one input, and each records its failure
+    assert main(argv + ["--t1-list", "40", "80"]) == 2
+    failures = read_json(out / "campaign.json")["failures"]
+    assert [f["point"] for f in failures] == ["t1_40", "t1_80"]
+    assert all(f["error"].startswith("IntegralError: orbital_energies")
+               for f in failures)
+    assert sorted(p.name for p in out.iterdir()) == ["campaign.json",
+                                                     "summary.csv"]
 
 
 def test_exact_above_qubit_limit_is_validation_error(tmp_path, capsys):
@@ -359,6 +364,38 @@ def test_sweep_t1(tmp_path, h2_path):
     assert main(argv) == 0
     assert (tmp_path / "point_t1_100.json").exists()
     assert (tmp_path / "point_t1_1000.json").exists()
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name to record each call; returns the list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_sweep_t1_prepares_its_input_once(tmp_path, toy4_path, monkeypatch):
+    import vqesim.cli as cli
+    prepared = counting(monkeypatch, cli, "prepare_problem")
+    solved = counting(monkeypatch, cli, "ground_state")
+    t1s = ["40", "80", "500"]
+    argv = vqe_args(toy4_path, tmp_path / "all",
+                    **{"--max-iter": "6", "--trials": "1"})
+    argv[0] = "sweep-t1"
+    assert main(argv + ["--t1-list", *t1s]) == 0
+    assert len(prepared) == len(solved) == 1
+    for t1 in t1s:
+        one = vqe_args(toy4_path, tmp_path / t1,
+                       **{"--max-iter": "6", "--trials": "1"})
+        one[0] = "sweep-t1"
+        assert main(one + ["--t1-list", t1]) == 0
+        name = f"point_t1_{t1}.json"
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / t1 / name).read_bytes())
 
 
 def test_sweep_t1_with_noise_is_validation_error(tmp_path, h2_path, capsys):

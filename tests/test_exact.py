@@ -174,7 +174,7 @@ def test_one_rdm_matches_the_ladder_oracle_on_random_states(n_spatial):
 
 def test_one_rdm_dimension_mismatch():
     with pytest.raises(ReferenceError):
-        one_rdm(Statevector.zero_state(3), n_spatial=2)
+        one_rdm(Statevector(3, np.eye(8)[0]), n_spatial=2)
 
 
 def test_converged_qucc_noons_match_exact(h2_problem):

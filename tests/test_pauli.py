@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -335,6 +336,20 @@ def test_basis_matrix_matches_dense_restriction(basis):
     if basis.size == 16:
         np.testing.assert_array_equal(h.sparse_matrix().toarray(),
                                       m.toarray())
+
+
+def test_pickled_sum_is_read_only_and_rebuilds_its_caches(toy4_problem):
+    h = toy4_problem.hamiltonian
+    u, _, _ = h.sparse_matrix(), h.diagonal(), h.terms
+    copy = pickle.loads(pickle.dumps(h))
+    assert copy._sparse is copy._diagonal is copy._letters is None
+    assert copy == h and copy.terms == h.terms
+    for a in copy.string_table():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    v = copy.sparse_matrix()
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(v, name), getattr(u, name))
 
 
 def test_compiled_14_qubit_molecular_h_is_a_real_upper_triangle():

@@ -30,6 +30,15 @@ from oracles import (GATES_1Q, apply_kraus_full, circuit_unitary, embed_1q,
                      tensor_statevector)
 
 
+def all_zero_state(n_qubits):
+    # |0...0> as the engine makes it: the state of an empty circuit
+    return run_statevector(ParameterizedCircuit(n_qubits, (), 0))
+
+
+def density_matrix(s):
+    return DensityMatrix(s.n_qubits, np.outer(s.amplitudes, s.amplitudes.conj()))
+
+
 def bell_state():
     c = ParameterizedCircuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))), 0)
     return run_statevector(c)
@@ -308,7 +317,7 @@ def test_run_rejects_unbound_and_oversize():
 # exact expectation
 
 def test_expectation_zero_state_zi():
-    s = Statevector.zero_state(2)
+    s = all_zero_state(2)
     assert expectation_exact(s, PauliSum(2, {"ZI": 1.0})) == pytest.approx(1.0)
 
 
@@ -327,7 +336,7 @@ def test_expectation_matches_dense_oracle():
     dense = pauli_sum_matrix(h.terms, 4)
     expected = np.real(psi.amplitudes.conj() @ dense @ psi.amplitudes)
     assert abs(expectation_exact(psi, h) - expected) < 1e-11
-    rho = DensityMatrix.from_statevector(psi)
+    rho = density_matrix(psi)
     assert abs(expectation_exact(rho, h) - expected) < 1e-11
 
 
@@ -353,20 +362,20 @@ def test_expectation_matches_dense_oracle_at_toy4_scale(toy4_problem):
 
 def test_expectation_rejects_non_hermitian():
     with pytest.raises(SimulationError):
-        expectation_exact(Statevector.zero_state(1), PauliSum(1, {"X": 1j}))
+        expectation_exact(all_zero_state(1), PauliSum(1, {"X": 1j}))
 
 
 def test_expectation_rejects_non_hermitian_after_compiling():
     h = PauliSum(1, {"X": 1j})
     h.sparse_matrix()
     with pytest.raises(SimulationError):
-        expectation_exact(Statevector.zero_state(1), h)
+        expectation_exact(all_zero_state(1), h)
 
 
 def test_hermitian_tolerance_applies_per_call():
     # h caches its largest |Im c|; each call compares it with its tolerance
     h = PauliSum(1, {"Z": 1.0 + 1e-11j})
-    s = Statevector.zero_state(1)
+    s = all_zero_state(1)
     assert not h.is_hermitian(1e-12)
     assert expectation_exact(s, h) == pytest.approx(1.0)
     assert h.is_hermitian(1e-10)
@@ -375,7 +384,7 @@ def test_hermitian_tolerance_applies_per_call():
 def test_sampled_and_exact_share_hermitian_tolerance():
     # |Im c| = 5e-11 is within tolerance for every shot count
     h = PauliSum(1, {"Z": 1.0 + 5e-11j})
-    s = Statevector.zero_state(1)
+    s = all_zero_state(1)
     assert expectation_exact(s, h) == 1.0
     for shots in (0, 64):
         assert expectation_sampled(s, h, shots, rng_seed=2) == 1.0
@@ -387,7 +396,7 @@ def test_sampled_and_exact_share_hermitian_tolerance():
 
 def test_expectation_rejects_qubit_count_mismatch():
     with pytest.raises(SimulationError):
-        expectation_exact(Statevector.zero_state(2), PauliSum(1, {"Z": 1.0}))
+        expectation_exact(all_zero_state(2), PauliSum(1, {"Z": 1.0}))
 
 
 def test_expectation_density_matrix_is_real():
@@ -409,7 +418,7 @@ def test_sampled_zero_shots_delegates_to_exact():
 
 
 def test_sampled_eigenstate_is_exact_for_any_shots():
-    s = Statevector.zero_state(2)
+    s = all_zero_state(2)
     h = PauliSum(2, {"ZZ": 0.7, "ZI": -0.2})
     for shots in (1, 16, 1024):
         assert expectation_sampled(s, h, shots, rng_seed=3) == pytest.approx(0.5)
@@ -421,7 +430,7 @@ def test_sampled_eigenstate_rounded_past_its_eigenvalue():
     h = PauliSum(1, {"X": 0.5})
     for amps, expected in (([a, a], 0.5), ([a, -a], -0.5)):
         s = Statevector(1, amps)
-        for state in (s, DensityMatrix.from_statevector(s)):
+        for state in (s, density_matrix(s)):
             assert expectation_sampled(state, h, 1024, rng_seed=3) == expected
 
 
@@ -456,8 +465,8 @@ def test_sampled_rejects_qubit_count_mismatch():
     h = PauliSum(2, {"XZ": 0.5, "ZI": 0.25})
     for n in (3, 1):
         with pytest.raises(SimulationError, match="qubit-count mismatch"):
-            expectation_sampled(Statevector.zero_state(n), h, 64, rng_seed=0)
-    rho = DensityMatrix.from_statevector(Statevector.zero_state(3))
+            expectation_sampled(all_zero_state(n), h, 64, rng_seed=0)
+    rho = density_matrix(all_zero_state(3))
     with pytest.raises(SimulationError, match="qubit-count mismatch"):
         expectation_sampled(rho, h, 64, rng_seed=0)
 
@@ -550,13 +559,12 @@ def test_noise_json_rejects_booleans(text):
         NoiseModel.from_json(text)
 
 
-def test_noise_model_json_round_trip():
-    nm = NoiseModel(t1_us=80.0, t2_us=70.0)
-    nm2 = NoiseModel.from_json(nm.to_json())
-    assert nm2.t1_us == 80.0 and nm2.t2_us == 70.0
-    assert nm2.durations_ns == nm.durations_ns
-    nm3 = NoiseModel.from_json("{}")
-    assert nm3.t1_us == 50.0
+def test_noise_model_from_json_reads_every_key():
+    durations = {**NoiseModel().durations_ns, "CNOT": 300.0, "RZ": 0.5}
+    text = json.dumps({"t1_us": 80.0, "t2_us": 70.0,
+                       "durations_ns": {"CNOT": 300.0, "RZ": 0.5}})
+    assert NoiseModel.from_json(text) == NoiseModel(80.0, 70.0, durations)
+    assert NoiseModel.from_json("{}") == NoiseModel()
 
 
 def test_schedule_single_hadamard_tail_idle():
