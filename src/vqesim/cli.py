@@ -27,7 +27,7 @@ from .exact import MAX_QUBITS, ground_state, one_rdm
 from .geometry import DISTORTIONS
 from .pipeline import Problem, build_ansatz, hf_energy, mp2_vector, prepare_problem
 from .simulator import NoiseModel
-from .vqe import INITIAL_GUESSES, VqeConfig, run_trials
+from .vqe import INITIAL_GUESSES, VqeConfig, VqeError, run_trials
 
 
 class ValidationError(ValueError):
@@ -209,6 +209,9 @@ def _run_campaign(args) -> int:
             point["reference_energy"] = reference
             point["initial_energy"] = initial_energy
             _write_json(out / f"point_{label}.json", point)
+            if all(ensemble.errors):   # the point file lists each error
+                raise VqeError(f"all {args.trials} trials failed, the first "
+                               f"with {ensemble.errors[0]}")
             s = ensemble.summary
             rows.append([value, s.get("mean"), s.get("min"), s.get("q1"),
                          s.get("median"), s.get("q3"), s.get("max"),

@@ -3,32 +3,31 @@
 An n-qubit rho runs as the 2n-qubit vector rho.reshape(-1), row qubit q as
 vector qubit q + n and column qubit q as q. In both engines a CNOT is a
 gather through an index permutation (``_cnot_index``); on rho one gather
-acts on rows and columns. Every other operator goes through the kernels
-``_apply_1q``/``_apply_2q``: on psi a 2x2 matrix u, on rho the 4x4
-superoperator u (x) u*, times an idle channel (amplitude damping, then pure
-dephasing) where the qubit waits in the schedule of ``schedule_circuit``.
-The idle channel has one form: ``_superoperator(_idle_kraus(t, nm))``,
-which the program compiles once per wait length (``_idle_superoperators``).
+acts on rows and columns. Every other operator is one kernel pass: on psi
+a 2x2 matrix u (``_apply_1q``), on rho the 4x4 superoperator u (x) u*
+(``_apply_2q``), times the idle channel (amplitude damping, then pure
+dephasing) ``_superoperator(_idle_kraus(t, nm))`` where the qubit waits t
+in the schedule of ``schedule_circuit``.
 
 Both engines run a circuit at a parameter vector theta, never binding it:
 a rotation turns by scale * theta[index] (the program's ``angles``), as
 in ``bind``, so the state equals that of the bound circuit bit for bit.
 
 Both engines run one program (``_program``), compiled once per circuit
-(for rho, per NoiseModel) and kept in the circuit's memo ``programs``.
-Every one-qubit gate that acts on a qubit before any CNOT
-touches it folds into a product state psi0: one 2-vector per qubit, joined
-by outer products; rho starts as |psi0><psi0|. It covers the H/RY/RX
-prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC. After
-that, the one-qubit gates on a qubit between two of its CNOTs fuse into
-one 2x2 product u, and with the idle channel of the wait that ends them
-into one pass over psi or rho; each CNOT stays one gather. Only the
-products depend on theta, and ``_compiled_call`` builds them once per
-call in one vectorised pass over all gates; the engines only index that
-stack. ``_apply_1q`` multiplies rows of 2 * 2^q amplitudes by
-(u (x) I_{2^q})^T for low q and the stack of (2, 2^q) blocks by u above,
-whichever measured fastest. Index arrays are cached for vectors of at
-most ``_INDEX_CACHE_MAX_LEN`` entries, in at most ``_INDEX_CACHE_BYTES``.
+(for rho, per NoiseModel) and kept in the circuit's memo ``programs``. It
+holds all of a run that does not depend on theta, the idle channel of
+each wait length and each CNOT's gather (up to ``_INDEX_CACHE_MAX_LEN``
+entries) included. Every one-qubit gate that acts on a qubit before any
+CNOT touches it folds into a product state psi0: one 2-vector per qubit,
+joined by outer products; rho starts as |psi0><psi0|. It covers the
+H/RY/RX prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC.
+After that, the one-qubit gates on a qubit between two of its CNOTs fuse
+into one 2x2 product u, and with the idle channel of the wait that ends
+them into one pass over psi or rho. Only the products depend on theta,
+and ``_compiled_call`` builds them once per call in one vectorised pass
+over all gates; the engines only index that stack. ``_apply_1q``
+multiplies rows of 2 * 2^q amplitudes by (u (x) I_{2^q})^T for low q and
+the stack of (2, 2^q) blocks by u above, whichever measured fastest.
 
 Expectation values read the Hamiltonian's compiled form, exact and
 sampled alike with the Hermiticity tolerance ``pauli.HERMITIAN_TOL``: the
@@ -41,7 +40,6 @@ expectation, never as bitstrings. The engines run at most
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -182,31 +180,15 @@ def _apply_2q(psi: np.ndarray, u: np.ndarray, q0: int, q1: int) -> np.ndarray:
     return t.reshape(-1)
 
 
-# Index arrays are cached only for vectors of at most 2^16 entries (an
-# 8-qubit rho), 512 KiB each, at most 64 of them; larger vectors build
-# theirs per call. They stay intp: int32 indices gathered 2-3x slower.
+# A program keeps the gather index of each of its CNOTs only for vectors of
+# at most 2^16 entries (an 8-qubit rho, 512 KiB each); larger vectors build
+# theirs per pass. They stay intp: int32 indices gathered 2-3x slower.
 _INDEX_CACHE_MAX_LEN = 2 ** 16
-_INDEX_CACHE_ENTRIES = 64
-_INDEX_CACHE_BYTES = (_INDEX_CACHE_ENTRIES * _INDEX_CACHE_MAX_LEN
-                     * np.dtype(np.intp).itemsize)   # 32 MiB
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _build_cnot_index(n_bits: int,
-                      pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    z = np.arange(2 ** n_bits, dtype=np.intp)
-    index = z.copy()
-    for c, t in pairs:
-        index ^= ((z >> c) & 1) << t
-    return _read_only(index)
-
-
-_cached_cnot_index = functools.lru_cache(maxsize=_INDEX_CACHE_ENTRIES)(
-    _build_cnot_index)
 
 
 def _cnot_index(n_bits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -215,9 +197,11 @@ def _cnot_index(n_bits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     v[index] maps basis index z to z ^ (bit_c(z) << t) for every pair. A
     gather only moves entries, so it is exact. The index is read-only.
     """
-    if 2 ** n_bits <= _INDEX_CACHE_MAX_LEN:
-        return _cached_cnot_index(n_bits, pairs)
-    return _build_cnot_index(n_bits, pairs)
+    z = np.arange(2 ** n_bits, dtype=np.intp)
+    index = z.copy()
+    for c, t in pairs:
+        index ^= ((z >> c) & 1) << t
+    return _read_only(index)
 
 
 class _Program(NamedTuple):   # see ``_program``
@@ -225,58 +209,81 @@ class _Program(NamedTuple):   # see ``_program``
     rotations: tuple         # gate indices of the RX, RY and RZ gates
     fixed: np.ndarray        # (gates + 1, 2, 2): H/X/Y/Z, the identity last
     idle: np.ndarray | None  # (rows, 4, 4) superoperator of each row's wait
-    ops: tuple               # (q, row) per fused run, (None, pair) per CNOT
+    ops: tuple               # (bits, row) per run, (None, gather) per CNOT
     angles: tuple            # (index, scale, fixed angle) per gate
 
 
-def _program(c: ParameterizedCircuit, noise: tuple | None = None) -> _Program:
-    """The theta-independent plan of a run of c, read-only.
+def _program(c: ParameterizedCircuit,
+             nm: NoiseModel | None = None) -> _Program:
+    """The theta-independent plan of a run of c, read-only: on psi without
+    a NoiseModel, on rho under nm.
 
-    Compiled once per ``noise`` into c's memo ``c.programs``, it lives as
-    long as c: circuits with equal gates, a bound copy too, compile one
-    each, and c keeps one per noise model it runs under. Two threads may
-    both compile c's first program; the first stored is kept.
+    Compiled once per noise key (T1, T2 and the sorted durations of nm,
+    read on every call) into c's memo ``c.programs``, it lives as long as
+    c: circuits with equal gates, a bound copy too, compile one each, and
+    c keeps one per noise model it runs under. Two threads may both
+    compile c's first program; the first stored is kept.
 
     Row q < n of ``table`` lists the gates on qubit q before any CNOT
     touches it; they act on |0>, so each qubit starts in a product state.
     Each later row is a run, the gates on one qubit between two of its
     CNOTs or after its last, fused into one 2x2 product. Rows index
     ``c.gates``; index len(c.gates) is the identity that pads each row.
-    An op is (q, row) for a run on qubit q, or (None, (control, target)).
-    ``noise`` is None or (t1_us, t2_us, sorted duration items), the key of
-    a NoiseModel. With noise, ``idle[row]`` is the superoperator of the
-    wait that ends the run, else the identity: a qubit idles only before
-    one of its CNOTs or up to the end, so after its run (maybe empty).
-    Gate i turns by scale[i] * theta[index[i]] + fixed[i] (``angles``)
-    under theta extended by one 0: ``Gate.angle_at(theta)``.
+    Ops act on the engine's vector bits: a run on qubit q is ((q,), row)
+    on psi and ((q + n, q), row) on rho; a CNOT is (None, gather), its
+    ``_cnot_index``, one array per distinct pair, or above
+    ``_INDEX_CACHE_MAX_LEN`` entries its bit pairs. Under nm, ``idle[row]``
+    is the superoperator of the wait that ends the run, else the
+    identity: in the schedule of ``schedule_circuit`` a qubit waits only
+    before one of its CNOTs or up to the end, so after its run (maybe
+    empty). Gate i turns by scale[i] * theta[index[i]] + fixed[i]
+    (``angles``) under theta extended by one 0: ``Gate.angle_at(theta)``.
     """
-    if noise in c.programs:
-        return c.programs[noise]
+    key = None if nm is None else (nm.t1_us, nm.t2_us,
+                                   tuple(sorted(nm.durations_ns.items())))
+    if key in c.programs:
+        return c.programs[key]
     n, gates = c.n_qubits, c.gates
-    idles = _idle_superoperators(c, noise)
+    n_bits = n if nm is None else 2 * n
+    # psi has no clock: every gate spans (0, 0), so no qubit waits
+    sched = (schedule_circuit(c, nm) if nm is not None else
+             Schedule(((0.0, 0.0),) * len(gates), ((),) * n, 0.0))
+    ends: dict[int, float] = {}   # end of the last gate on each qubit
+    superops = {0.0: np.eye(4)}   # idle superoperator per wait length
+    gathers: dict = {}   # gather index per tuple of CNOT bit pairs
     rows: list[list[int]] = [[] for _ in range(n)]
-    waits: list = [None] * n
+    waits, ops = [superops[0.0]] * n, []
     runs: dict[int, list[int]] = {}   # open run of each qubit past a CNOT
-    ops = []
 
-    def close(q: int, i: int) -> None:   # the run of q ends at gate i
-        run, idle = runs.get(q, []), idles.get((q, i))
-        if run or idle is not None:
-            ops.append((q, len(rows)))
+    def close(q: int, t: float) -> None:   # q's run and wait end at time t
+        run, wait = runs.get(q, []), t - ends.get(q, t)
+        if run or wait:
+            if wait not in superops:
+                superops[wait] = _superoperator(_idle_kraus(wait, nm))
+            ops.append(((q,) if nm is None else (q + n, q), len(rows)))
             rows.append(run)
-            waits.append(idle)
+            waits.append(superops[wait])
 
-    for i, g in enumerate(gates):
+    def gather(ctl: int, tgt: int):   # the index, or the pairs if too long
+        pairs = ((ctl, tgt),) if nm is None else ((ctl + n, tgt + n),
+                                                  (ctl, tgt))
+        if 2 ** n_bits <= _INDEX_CACHE_MAX_LEN and pairs not in gathers:
+            gathers[pairs] = _cnot_index(n_bits, pairs)
+        return gathers.get(pairs, pairs)
+
+    for i, (g, (start, dur)) in enumerate(zip(gates, sched.gate_spans)):
         if g.kind != "CNOT":
             q = g.qubits[0]
             (runs[q] if q in runs else rows[q]).append(i)
-            continue
+        else:
+            for q in g.qubits:
+                close(q, start)
+                runs[q] = []
+            ops.append((None, gather(*g.qubits)))
         for q in g.qubits:
-            close(q, i)
-            runs[q] = []
-        ops.append((None, g.qubits))
+            ends[q] = start + dur
     for q in [*runs, *(q for q in range(n) if q not in runs)]:
-        close(q, len(gates))
+        close(q, sched.circuit_end)
     table = np.full((len(rows), max(map(len, rows), default=0) or 1),
                     len(gates), dtype=np.intp)
     for row, run in zip(table, rows):
@@ -286,49 +293,30 @@ def _program(c: ParameterizedCircuit, noise: tuple | None = None) -> _Program:
                       for r in ROTATIONS)
     fixed = np.array([_FIXED.get(k, np.zeros((2, 2))) for k in kinds]
                      + [np.eye(2)], dtype=complex)
-    idle = None if noise is None else _read_only(np.array(
-        [np.eye(4) if s is None else s for s in waits], dtype=complex))
+    idle = None if nm is None else _read_only(np.array(waits, dtype=complex))
     params = [g.param or (c.n_parameters, 0.0) for g in gates]
     angles = (np.array([p[0] for p in params], dtype=np.intp),
               np.array([p[1] for p in params], dtype=float),
               np.array([g.angle or 0.0 for g in gates], dtype=float))
-    return c.programs.setdefault(noise, _Program(
+    return c.programs.setdefault(key, _Program(
         _read_only(table), rotations, _read_only(fixed), idle, tuple(ops),
         tuple(map(_read_only, angles))))
 
 
-def _idle_superoperators(c: ParameterizedCircuit, noise: tuple | None) -> dict:
-    """{(q, i): superoperator} of each wait of qubit q that ends at gate i
-    of c, or at the circuit's end for i = len(c.gates)."""
-    if noise is None:
-        return {}
-    nm = NoiseModel(noise[0], noise[1], dict(noise[2]))
-    sched = schedule_circuit(c, nm)
-    gate_at = {(q, start): i for i, (g, (start, _))
-               in enumerate(zip(c.gates, sched.gate_spans)) for q in g.qubits}
-    # a wait on qubit q ends at the start of q's next gate or at the end
-    waits = {(q, gate_at.get((q, b), len(c.gates))): b - a
-             for q, intervals in enumerate(sched.idle_intervals)
-             for a, b in intervals}
-    superops = {t: _superoperator(_idle_kraus(t, nm))
-                for t in set(waits.values())}
-    return {key: superops[t] for key, t in waits.items()}
-
-
 def _compiled_call(c: ParameterizedCircuit, theta: Sequence[float],
-                   max_qubits: int, noise: tuple | None = None) -> tuple:
+                   max_qubits: int, nm: NoiseModel | None = None) -> tuple:
     """(ops, psi0, stack) of c at theta: the program's ops, the start
     state and one matrix per table row. Every 2x2 gate matrix is built in
     one vectorised pass, and the row products (first gate rightmost) with
     one batched matmul per table column. The stack holds these products,
-    or with noise the superoperators idle (u (x) u*)."""
+    or under nm the superoperators idle (u (x) u*)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.n_parameters,):
         raise SimulationError(
             f"expected {c.n_parameters} parameters, got {theta.shape}")
     if c.n_qubits > max_qubits:
         raise SimulationError(f"{c.n_qubits} qubits exceeds cap {max_qubits}")
-    prog = _program(c, noise)
+    prog = _program(c, nm)
     index, scale, fixed = prog.angles
     half = (scale * np.append(theta, 0.0)[index] + fixed) / 2.0
     cos, sin = np.cos(half), np.sin(half)
@@ -345,10 +333,23 @@ def _compiled_call(c: ParameterizedCircuit, theta: Sequence[float],
     psi = np.ones(1, dtype=complex)
     for q in reversed(range(c.n_qubits)):   # qubit 0 is the least significant
         psi = np.multiply.outer(psi, u[q, :, 0])
-    if noise is not None:
+    if nm is not None:
         u = prog.idle @ (u[:, :, None, :, None]
                          * u.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
     return prog.ops, psi.reshape(-1), u
+
+
+def _run(ops: tuple, v: np.ndarray, stack: np.ndarray, kernel) -> np.ndarray:
+    """v after the passes of a program's ops: kernel(v, stack[row], *bits)
+    per run, a gather per CNOT."""
+    n_bits = v.size.bit_length() - 1
+    for bits, op in ops:
+        if bits is None:   # op is the gather index, or its bit pairs
+            v = v[op if isinstance(op, np.ndarray)
+                  else _cnot_index(n_bits, op)]
+        else:
+            v = kernel(v, stack[op], *bits)
+    return v
 
 
 def run_statevector(c: ParameterizedCircuit,
@@ -358,14 +359,8 @@ def run_statevector(c: ParameterizedCircuit,
     Only the 2x2 products depend on theta (``_compiled_call``); the rest
     is ``_program``, compiled once per circuit.
     """
-    n = c.n_qubits
     ops, psi, stack = _compiled_call(c, theta, MAX_STATEVECTOR_QUBITS)
-    for q, op in ops:
-        if q is None:
-            psi = psi[_cnot_index(n, (op,))]
-        else:
-            psi = _apply_1q(psi, stack[op], q)
-    return Statevector(n, psi)
+    return Statevector(c.n_qubits, _run(ops, psi, stack, _apply_1q))
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +520,7 @@ def run_density_matrix(c: ParameterizedCircuit, nm: NoiseModel,
     measurement is simultaneous.
     """
     n = c.n_qubits
-    ops, psi, stack = _compiled_call(c, theta, MAX_DENSITY_MATRIX_QUBITS, (
-        nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items()))))
+    ops, psi, stack = _compiled_call(c, theta, MAX_DENSITY_MATRIX_QUBITS, nm)
     v = np.outer(psi, psi.conj()).reshape(-1)   # no qubit idles before psi0
-    for q, op in ops:
-        if q is None:
-            ctl, tgt = op
-            v = v[_cnot_index(2 * n, ((ctl + n, tgt + n), (ctl, tgt)))]
-        else:
-            v = _apply_2q(v, stack[op], q + n, q)
-    return DensityMatrix(n, v.reshape(2 ** n, 2 ** n))
+    rho = _run(ops, v, stack, _apply_2q)
+    return DensityMatrix(n, rho.reshape(2 ** n, 2 ** n))

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +186,68 @@ def test_mp2_with_short_orbital_energies_records_integral_error(tmp_path,
                for f in failures)
     assert sorted(p.name for p in out.iterdir()) == ["campaign.json",
                                                      "summary.csv"]
+
+
+@pytest.mark.parametrize("failing", [{0, 1}, {0}], ids=["all", "one"])
+def test_point_whose_every_trial_failed_is_a_failure(tmp_path, h2_path,
+                                                     monkeypatch, failing):
+    import vqesim.vqe
+    minimize, calls = vqesim.vqe.minimize, []
+
+    def flaky(*args):   # trials run in order with --jobs 1
+        calls.append(1)
+        if len(calls) - 1 in failing:
+            raise vqesim.vqe.VqeError("no trial today")
+        return minimize(*args)
+
+    monkeypatch.setattr(vqesim.vqe, "minimize", flaky)
+    rc = main(vqe_args(h2_path, tmp_path))
+    point = read_json(tmp_path / "point_single.json")
+    errors = [t.get("error") for t in point["trials"]]
+    assert errors == [None if i not in failing else
+                      "VqeError: no trial today" for i in range(2)]
+    failures = read_json(tmp_path / "campaign.json")["failures"]
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    if len(failing) == 2:
+        assert rc == 2 and len(rows) == 1
+        assert failures == [{"point": "single", "error": (
+            "VqeError: all 2 trials failed, the first with VqeError: "
+            "no trial today")}]
+    else:
+        assert rc == 0 and len(rows) == 2 and failures == []
+        assert point["summary"]["n"] == 1
+
+
+H2_RECORDS = {"e_core": "0 0 0 0", "h_one": "2 2 0 0", "h_two": "2 1 2 1"}
+
+
+def non_finite_h2(h2_path, tmp_path, name, bad):
+    """h2 with the value of one record (core, one-body or two-body) bad."""
+    lines = [f" {bad} {H2_RECORDS[name]}"
+             if line.split()[1:] == H2_RECORDS[name].split() else line
+             for line in Path(h2_path).read_text().splitlines()]
+    path = tmp_path / f"{name}_{bad}.fcidump"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", H2_RECORDS)
+def test_non_finite_integral_is_validation_error(tmp_path, h2_path, capsys,
+                                                 name, bad):
+    # NaN would fail a symmetry check with the wrong message, infinity pass
+    path = non_finite_h2(h2_path, tmp_path, name, bad)
+    assert Path(path).read_text().count(f" {bad} ") == 1
+    out = tmp_path / "exact.json"
+    assert main(["exact", "--fcidump", path, "--out", str(out)]) == 1
+    assert f"{name} has a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+    # a campaign records the point as failed
+    argv = vqe_args(path, tmp_path / "run", **{"--trials": "1"})
+    assert main(argv) == 2
+    failures = read_json(tmp_path / "run" / "campaign.json")["failures"]
+    assert [f["error"] for f in failures] == [
+        f"IntegralError: {name} has a non-finite value"]
 
 
 def test_exact_above_qubit_limit_is_validation_error(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import json
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,9 +15,8 @@ from vqesim.simulator import (DensityMatrix, NoiseModel, SimulationError,
                               expectation_sampled, run_density_matrix,
                               run_statevector, schedule_circuit)
 from vqesim.simulator import (MAX_DENSITY_MATRIX_QUBITS,
-                              MAX_STATEVECTOR_QUBITS)
-from vqesim.simulator import (_INDEX_CACHE_BYTES, _INDEX_CACHE_MAX_LEN,
-                              _apply_1q, _apply_2q, _cached_cnot_index,
+                              MAX_STATEVECTOR_QUBITS, TABLE1_DURATIONS_NS)
+from vqesim.simulator import (_INDEX_CACHE_MAX_LEN, _apply_1q, _apply_2q,
                               _cnot_index, _idle_kraus, _pauli_expectations,
                               _superoperator)
 
@@ -178,11 +176,10 @@ BUILD_CIRCUITS = {
 def test_batched_build_matches_oracle_gate_products(name, noisy):
     c = BUILD_CIRCUITS[name]
     theta = np.random.default_rng(66).uniform(-np.pi, np.pi, c.n_parameters)
-    nm = NoiseModel()
-    key = (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
-    prog = simulator._program(c, key if noisy else None)
+    nm = NoiseModel() if noisy else None
+    prog = simulator._program(c, nm)
     ops, psi0, stack = simulator._compiled_call(
-        c, theta, MAX_STATEVECTOR_QUBITS, key if noisy else None)
+        c, theta, MAX_STATEVECTOR_QUBITS, nm)
     assert ops == prog.ops
     # each one-qubit gate lies in one row, once
     entries = prog.table[prog.table < len(c.gates)]
@@ -237,14 +234,17 @@ def test_each_engine_call_makes_one_batched_build(monkeypatch, toy4_problem):
 def test_writing_into_a_compiled_table_raises_and_changes_nothing():
     rng = np.random.default_rng(69)
     c = random_parameterized_circuit(3, 20, 2, rng)
+    c = ParameterizedCircuit(3, c.gates + (Gate("CNOT", (0, 2)),),
+                             c.n_parameters)   # so the program holds a gather
     theta = rng.uniform(-np.pi, np.pi, c.n_parameters)
     nm = NoiseModel(t1_us=0.2, t2_us=0.2)
-    key = (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
     psi = run_statevector(c, theta).amplitudes
     rho = run_density_matrix(c, nm, theta).rho
-    prog = simulator._program(c, key)
+    prog = simulator._program(c, nm)
+    gathers = [op for bits, op in prog.ops if bits is None]
+    assert gathers
     for table in (*prog.angles, prog.table, *prog.rotations, prog.fixed,
-                  prog.idle):
+                  prog.idle, *gathers):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
     np.testing.assert_array_equal(run_statevector(c, theta).amplitudes, psi)
@@ -253,15 +253,16 @@ def test_writing_into_a_compiled_table_raises_and_changes_nothing():
 
 def test_each_circuit_compiles_its_program_once_per_noise_key():
     c = random_parameterized_circuit(3, 20, 2, np.random.default_rng(70))
-    keys = [None] + [
-        (nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))
-        for nm in (NoiseModel(), NoiseModel(t1_us=0.1, t2_us=0.1))]
-    programs = [simulator._program(c, key) for key in keys]
-    assert all(simulator._program(c, key) is prog
-               for key, prog in zip(keys, programs))
+    models = [None, NoiseModel(), NoiseModel(t1_us=0.1, t2_us=0.1)]
+    programs = [simulator._program(c, nm) for nm in models]
+    # an equal model, built anew, has the same key
+    assert all(simulator._program(c, nm and NoiseModel(
+        nm.t1_us, nm.t2_us, dict(nm.durations_ns))) is prog
+               for nm, prog in zip(models, programs))
     twin = ParameterizedCircuit(c.n_qubits, c.gates, c.n_parameters)
     assert twin == c and simulator._program(twin) is not programs[0]
-    assert len(set(map(id, programs))) == 3 and list(c.programs) == keys
+    assert len(set(map(id, programs))) == 3 and len(c.programs) == 3
+    assert list(c.programs)[0] is None
 
 
 def test_threads_compiling_one_circuit_run_one_program():
@@ -842,8 +843,7 @@ def test_noisy_run_makes_one_pass_per_fused_run(monkeypatch, toy4_problem):
                         lambda *args: calls.append(1) or apply_2q(*args))
     theta = np.random.default_rng(65).uniform(-1, 1, c.n_parameters)
     run_density_matrix(c, nm, theta)
-    ops = simulator._program(c, (
-        nm.t1_us, nm.t2_us, tuple(sorted(nm.durations_ns.items())))).ops
+    ops = simulator._program(c, nm).ops
     runs = sum(1 for q, _ in ops if q is not None)
     one_qubit_gates = sum(1 for g in c.gates if g.kind != "CNOT")
     idles = sum(map(len, schedule_circuit(c, nm).idle_intervals))
@@ -876,25 +876,55 @@ def test_writing_into_a_result_does_not_change_the_next():
         np.testing.assert_array_equal(run_density_matrix(c, nm).rho, expected)
 
 
-def test_cnot_index_cache_stays_under_its_byte_ceiling():
-    n_bits = _INDEX_CACHE_MAX_LEN.bit_length() - 1
-    pairs = [((c, t),) for c in range(n_bits) for t in range(n_bits) if c != t]
-    _cached_cnot_index.cache_clear()
-    tracemalloc.start()
-    try:
-        for p in pairs:   # far more cacheable indices than the cache holds
-            _cnot_index(n_bits, p)
-        cached, _ = tracemalloc.get_traced_memory()
-        # one bit more than the largest cached vector: built, never kept
-        for p in pairs[:4]:
-            a = _cnot_index(n_bits + 1, p)
-            assert a is not _cnot_index(n_bits + 1, p)
-        del a
-        after, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        _cached_cnot_index.cache_clear()
-    assert len(pairs) * _INDEX_CACHE_MAX_LEN * 8 > 2 * _INDEX_CACHE_BYTES
-    assert cached <= _INDEX_CACHE_BYTES + 2 ** 20
-    assert after <= cached + 2 ** 20
-    assert _cnot_index(4, ((0, 1),)) is _cnot_index(4, ((0, 1),))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_program_waits_are_the_schedules_idle_intervals(n):
+    # durations on a 10 ns grid make many waits of equal length
+    rng = np.random.default_rng(90 + n)
+    for _ in range(6):
+        c = random_circuit(n, 24, rng)
+        t1 = float(rng.uniform(0.5, 5.0))
+        nm = NoiseModel(t1_us=t1, t2_us=float(rng.uniform(0.1, 2 * t1)),
+                        durations_ns={k: float(10 * rng.integers(1, 4))
+                                      for k in TABLE1_DURATIONS_NS})
+        prog = simulator._program(c, nm)
+        intervals = schedule_circuit(c, nm).idle_intervals
+        for q in range(n):
+            rows = [prog.idle[row] for bits, row in prog.ops
+                    if bits == (q + n, q)]
+            waits = [w for w in rows if not np.array_equal(w, np.eye(4))]
+            expected = [_superoperator(_idle_kraus(b - a, nm))
+                        for a, b in intervals[q]]
+            assert (sorted(w.tobytes() for w in waits)
+                    == sorted(w.tobytes() for w in expected))
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["psi", "rho"])
+def test_each_cnot_pair_has_one_gather_per_program(noisy, toy4_problem):
+    c, _ = build_ansatz("qucc", toy4_problem)
+    nm = NoiseModel() if noisy else None
+    n = c.n_qubits
+    ops = simulator._program(c, nm).ops
+    gathers = [op for bits, op in ops if bits is None]
+    pairs = [g.qubits for g in c.gates if g.kind == "CNOT"]
+    assert len(gathers) == len(pairs)
+    by_pair = {}
+    for pair, gather in zip(pairs, gathers):
+        assert by_pair.setdefault(pair, gather) is gather
+    assert len({id(g) for g in gathers}) == len(by_pair) > 1
+    for (ctl, tgt), gather in by_pair.items():
+        expected = (_cnot_index(n, ((ctl, tgt),)) if not noisy else
+                    _cnot_index(2 * n, ((ctl + n, tgt + n), (ctl, tgt))))
+        np.testing.assert_array_equal(gather, expected)
+
+
+@pytest.mark.parametrize("n, noisy, kept", [
+    (16, False, True), (17, False, False), (8, True, True), (9, True, False)])
+def test_programs_keep_gathers_only_up_to_the_cache_limit(n, noisy, kept):
+    # a vector above _INDEX_CACHE_MAX_LEN entries builds each gather per
+    # pass, so its program holds the bit pairs and no index array
+    assert (2 ** (2 * n if noisy else n) <= _INDEX_CACHE_MAX_LEN) == kept
+    c = build_he("v2", n, 1)
+    ops = simulator._program(c, NoiseModel() if noisy else None).ops
+    gathers = [op for bits, op in ops if bits is None]
+    assert gathers and all(isinstance(g, np.ndarray) == kept
+                           for g in gathers)
