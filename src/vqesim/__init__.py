@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .pauli import PauliSum
-from .fermion import (ActiveSpace, FermionOperator, MolecularIntegrals,
-                      build_hamiltonian, freeze_orbitals, jordan_wigner,
-                      parse_fcidump, select_active_space, write_fcidump)
+from .fermion import (FermionOperator, MolecularIntegrals, build_hamiltonian,
+                      freeze_orbitals, jordan_wigner, parse_fcidump,
+                      select_active_space, write_fcidump)
 from .ansatz import (Gate, ParameterizedCircuit, QuccGenerator, build_he,
                      build_qucc_generator, mp2_initial_amplitudes,
                      trotterize_qucc)

@@ -87,11 +87,17 @@ class ParameterizedCircuit:
             raise AnsatzError(f"unreferenced parameter indices: {sorted(missing)}")
 
     def __getstate__(self):   # a copy compiles its own programs
-        return {k: v for k, v in self.__dict__.items() if k != "programs"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("programs", "gathers")}
 
     @functools.cached_property
     def programs(self) -> dict:
         """Compiled programs by noise key (``simulator._program``)."""
+        return {}
+
+    @functools.cached_property
+    def gathers(self) -> dict:
+        """CNOT gathers by bit pairs, shared by the programs."""
         return {}
 
     def bind(self, theta: Sequence[float]) -> "ParameterizedCircuit":

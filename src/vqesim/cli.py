@@ -117,6 +117,8 @@ def _campaign_points(args):
                         ("--sidecar-list", args.sidecar_list)):
         if given and len(args.fcidump) == 1:
             raise ValidationError(f"{flag} needs more than one FCIDUMP")
+    if args.sidecar and args.sidecar_list:
+        raise ValidationError("--sidecar cannot be given with --sidecar-list")
     if getattr(args, "t1_list", None):
         for t1 in args.t1_list:
             yield f"t1_{t1:g}", t1, args.fcidump[0], args.sidecar, args.shots, t1
@@ -225,8 +227,9 @@ def _run_campaign(args) -> int:
                      "max", "reference_energy", "initial_energy"])
     writer.writerows(rows)
     (out / "summary.csv").write_text(buf.getvalue())
-    cfg_hash = hashlib.sha256(
-        json.dumps(campaign_cfg, sort_keys=True, default=str).encode()).hexdigest()
+    cfg_hash = hashlib.sha256(json.dumps(   # the output path is no setting
+        {k: v for k, v in campaign_cfg.items() if k != "out_dir"},
+        sort_keys=True, default=str).encode()).hexdigest()
     _write_json(out / "campaign.json", {
         "config": {k: str(v) for k, v in campaign_cfg.items()},
         "config_hash": cfg_hash,

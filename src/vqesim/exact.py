@@ -40,12 +40,10 @@ class ReferenceError(ValueError):
 class SpectrumResult:
     ground_energy: float      # includes the core energy
     ground_state: Statevector
-    sector: int
 
 
 @dataclass
 class OneRdm:
-    n_spatial: int
     matrix: np.ndarray        # spin-summed, real symmetric
     noons: np.ndarray         # eigenvalues, descending
 
@@ -122,8 +120,7 @@ def ground_state(h: PauliSum, n_electrons: int,
     full = np.zeros(2 ** n, dtype=complex)
     full[support] = vec
     return SpectrumResult(ground_energy=float(energy) + e_core,
-                          ground_state=Statevector(n, full),
-                          sector=n_electrons)
+                          ground_state=Statevector(n, full))
 
 
 def one_rdm(state: Statevector, n_spatial: int) -> OneRdm:
@@ -148,4 +145,4 @@ def one_rdm(state: Statevector, n_spatial: int) -> OneRdm:
                                    sign * psi[moved]).real
             d[q, p] = d[p, q]
     noons = np.sort(np.linalg.eigvalsh(d))[::-1]
-    return OneRdm(n_spatial=n_spatial, matrix=d, noons=noons)
+    return OneRdm(matrix=d, noons=noons)

@@ -17,7 +17,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,23 +75,6 @@ class MolecularIntegrals:
                 raise IntegralError("noons do not sum to the electron count")
 
 
-@dataclass(frozen=True)
-class ActiveSpace:
-    """Partition of spatial orbitals into active and frozen-occupied sets."""
-
-    active: tuple[int, ...]
-    occupied_frozen: tuple[int, ...]
-    n_active_electrons: int
-
-    def __post_init__(self):
-        orbitals = list(self.active) + list(self.occupied_frozen)
-        if len(set(orbitals)) != len(orbitals):
-            raise IntegralError("an orbital repeats in or across the active "
-                                "and frozen sets")
-        if self.n_active_electrons < 0:
-            raise IntegralError("negative active electron count")
-
-
 _HEADER_RE = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
 _NELEC_RE = re.compile(r"NELEC\s*=\s*(\d+)", re.IGNORECASE)
 
@@ -100,7 +83,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     """Parse FCIDUMP text into MolecularIntegrals (chemists' two-body).
 
     Special records: ``v 0 0 0 0`` sets the core energy, ``v i j 0 0``
-    a one-body element, ``v i 0 0 0`` an orbital energy.
+    a one-body element, ``v i 0 0 0`` an orbital energy, given for every
+    orbital or for none.
     """
     lines = text.splitlines()
     header = []
@@ -167,10 +151,11 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
                 seen_two[a, b, c, d] = True
 
     orbital_energies = None
-    if energies:
-        orbital_energies = np.zeros(n)
-        for i, val in energies.items():
-            orbital_energies[i - 1] = val
+    if energies:   # a missing one would read 0.0
+        if len(energies) != n:
+            raise IntegralError(f"orbital energies given for {len(energies)} "
+                                f"of {n} orbitals; give all or none")
+        orbital_energies = np.array([energies[i] for i in range(1, n + 1)])
     m = MolecularIntegrals(n_orbitals=n, n_electrons=nelec, e_core=e_core,
                            h_one=h_one, h_two=h_two,
                            orbital_energies=orbital_energies)
@@ -224,9 +209,9 @@ def apply_sidecar(m: MolecularIntegrals, sidecar: dict) -> MolecularIntegrals:
     return m
 
 
-def select_active_space(m: MolecularIntegrals, eps1: float,
-                        eps2: float) -> ActiveSpace:
-    """Threshold-based orbital selection from natural occupation numbers.
+def select_active_space(m: MolecularIntegrals, eps1: float, eps2: float
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(active, frozen) orbitals selected by natural occupation numbers.
 
     An orbital is active if its occupation lies in [eps2, 2-eps1], or if
     it is nearly doubly occupied but not deep enough below the Fermi level
@@ -247,21 +232,28 @@ def select_active_space(m: MolecularIntegrals, eps1: float,
             active.append(i)
     if not active:
         raise IntegralError("active space is empty")
-    n_act = m.n_electrons - 2 * len(frozen)
-    return ActiveSpace(tuple(active), tuple(frozen), n_act)
+    return tuple(active), tuple(frozen)
 
 
-def freeze_orbitals(m: MolecularIntegrals, a: ActiveSpace) -> MolecularIntegrals:
-    """Fold frozen-occupied orbitals into h_one and the core energy.
+def freeze_orbitals(m: MolecularIntegrals, active: Sequence[int],
+                    frozen: Sequence[int] = ()) -> MolecularIntegrals:
+    """m on its active orbitals, the doubly occupied frozen ones folded
+    into h_one, the core energy and the electron count.
 
     h'_pq = h_pq + sum_i [2(pq|ii) - (pi|iq)]
     E'    = E + sum_i 2 h_ii + sum_ij [2(ii|jj) - (ij|ji)]
     """
-    for i in list(a.active) + list(a.occupied_frozen):
+    act, occ = list(active), list(frozen)
+    if len(set(act + occ)) != len(act + occ):
+        raise IntegralError("an orbital repeats in or across the active "
+                            "and frozen sets")
+    for i in act + occ:
         if not 0 <= i < m.n_orbitals:
             raise IntegralError(f"orbital index {i} out of range")
-    act = list(a.active)
-    occ = list(a.occupied_frozen)
+    n_electrons = m.n_electrons - 2 * len(occ)
+    if n_electrons < 0:
+        raise IntegralError(f"{len(occ)} frozen orbitals hold more than "
+                            f"the {m.n_electrons} electrons")
     g = m.h_two
     h = m.h_one.copy()
     e_core = m.e_core
@@ -272,16 +264,13 @@ def freeze_orbitals(m: MolecularIntegrals, a: ActiveSpace) -> MolecularIntegrals
             e_core += 2 * g[i, i, j, j] - g[i, j, j, i]
     for i in occ:
         h += 2 * g[:, :, i, i] - g[:, i, i, :]
-    idx = np.ix_(act, act)
-    h_act = h[idx]
-    g_act = g[np.ix_(act, act, act, act)]
     # no NOONs: the active ones need not sum to the active electron count
     return MolecularIntegrals(
         n_orbitals=len(act),
-        n_electrons=a.n_active_electrons,
+        n_electrons=n_electrons,
         e_core=e_core,
-        h_one=h_act,
-        h_two=g_act,
+        h_one=h[np.ix_(act, act)],
+        h_two=g[np.ix_(act, act, act, act)],
         orbital_energies=(None if m.orbital_energies is None
                           else m.orbital_energies[act]),
     )

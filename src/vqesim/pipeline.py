@@ -11,10 +11,9 @@ import numpy as np
 from .ansatz import (ParameterizedCircuit, QuccGenerator, build_he,
                      build_qucc_generator, mp2_initial_amplitudes,
                      trotterize_qucc)
-from .fermion import (ActiveSpace, IntegralError, MolecularIntegrals,
-                      apply_sidecar, build_hamiltonian, freeze_orbitals,
-                      jordan_wigner, load_sidecar, parse_fcidump,
-                      select_active_space)
+from .fermion import (IntegralError, MolecularIntegrals, apply_sidecar,
+                      build_hamiltonian, freeze_orbitals, jordan_wigner,
+                      load_sidecar, parse_fcidump, select_active_space)
 from .pauli import PauliSum
 
 
@@ -23,7 +22,6 @@ class Problem:
     """A frozen active-space problem ready for VQE."""
 
     integrals: MolecularIntegrals     # frozen, active orbitals only
-    active_space: ActiveSpace
     hamiltonian: PauliSum             # Jordan-Wigner image, no core energy
 
     @property
@@ -57,16 +55,12 @@ def prepare_problem(fcidump_path: str,
     if sidecar_path:
         m = apply_sidecar(m, load_sidecar(sidecar_path))
     if eps1 is not None:
-        asp = select_active_space(m, eps1, eps2)
-    elif active is not None:
-        frozen = tuple(frozen or ())
-        asp = ActiveSpace(tuple(active), frozen,
-                          m.n_electrons - 2 * len(frozen))
-    else:
-        asp = ActiveSpace(tuple(range(m.n_orbitals)), (), m.n_electrons)
-    mf = freeze_orbitals(m, asp)
+        active, frozen = select_active_space(m, eps1, eps2)
+    elif active is None:
+        active = range(m.n_orbitals)
+    mf = freeze_orbitals(m, active, frozen or ())
     h = jordan_wigner(build_hamiltonian(mf))
-    return Problem(integrals=mf, active_space=asp, hamiltonian=h)
+    return Problem(integrals=mf, hamiltonian=h)
 
 
 def build_ansatz(kind: str, problem: Problem,

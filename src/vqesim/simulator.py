@@ -17,8 +17,9 @@ Both engines run one program (``_program``), compiled once per circuit
 (for rho, per NoiseModel) and kept in the circuit's memo ``programs``. It
 holds all of a run that does not depend on theta, the idle channel of
 each wait length and each CNOT's gather (up to ``_INDEX_CACHE_MAX_LEN``
-entries) included. Every one-qubit gate that acts on a qubit before any
-CNOT touches it folds into a product state psi0: one 2-vector per qubit,
+entries, one per pair in the memo ``gathers`` that all programs share)
+included. Every one-qubit gate that acts on a qubit before any CNOT
+touches it folds into a product state psi0: one 2-vector per qubit,
 joined by outer products; rho starts as |psi0><psi0|. It covers the
 H/RY/RX prefix of the HE ansaetze and the Hartree-Fock X layer of qUCC.
 After that, the one-qubit gates on a qubit between two of its CNOTs fuse
@@ -231,13 +232,14 @@ def _program(c: ParameterizedCircuit,
     ``c.gates``; index len(c.gates) is the identity that pads each row.
     Ops act on the engine's vector bits: a run on qubit q is ((q,), row)
     on psi and ((q + n, q), row) on rho; a CNOT is (None, gather), its
-    ``_cnot_index``, one array per distinct pair, or above
-    ``_INDEX_CACHE_MAX_LEN`` entries its bit pairs. Under nm, ``idle[row]``
-    is the superoperator of the wait that ends the run, else the
-    identity: in the schedule of ``schedule_circuit`` a qubit waits only
-    before one of its CNOTs or up to the end, so after its run (maybe
-    empty). Gate i turns by scale[i] * theta[index[i]] + fixed[i]
-    (``angles``) under theta extended by one 0: ``Gate.angle_at(theta)``.
+    ``_cnot_index``, one array per distinct pair in c's memo ``c.gathers``
+    that every program of c shares, or above ``_INDEX_CACHE_MAX_LEN``
+    entries its bit pairs. Under nm, ``idle[row]`` is the superoperator
+    of the wait that ends the run, else the identity: in the schedule of
+    ``schedule_circuit`` a qubit waits only before one of its CNOTs or up
+    to the end, so after its run (maybe empty). Gate i turns by
+    scale[i] * theta[index[i]] + fixed[i] (``angles``) under theta
+    extended by one 0: ``Gate.angle_at(theta)``.
     """
     key = None if nm is None else (nm.t1_us, nm.t2_us,
                                    tuple(sorted(nm.durations_ns.items())))
@@ -250,7 +252,7 @@ def _program(c: ParameterizedCircuit,
              Schedule(((0.0, 0.0),) * len(gates), ((),) * n, 0.0))
     ends: dict[int, float] = {}   # end of the last gate on each qubit
     superops = {0.0: np.eye(4)}   # idle superoperator per wait length
-    gathers: dict = {}   # gather index per tuple of CNOT bit pairs
+    gathers = c.gathers   # gather index per tuple of CNOT bit pairs
     rows: list[list[int]] = [[] for _ in range(n)]
     waits, ops = [superops[0.0]] * n, []
     runs: dict[int, list[int]] = {}   # open run of each qubit past a CNOT

@@ -17,7 +17,7 @@ from conftest import record_criterion
 from vqesim.ansatz import Gate, ParameterizedCircuit, he_parameter_count, build_he
 from vqesim.cli import main
 from vqesim.exact import ground_state
-from vqesim.fermion import (ActiveSpace, FermionOperator, MolecularIntegrals,
+from vqesim.fermion import (FermionOperator, MolecularIntegrals,
                             build_hamiltonian, freeze_orbitals, jordan_wigner)
 from vqesim.pauli import PauliSum
 from vqesim.pipeline import build_ansatz, hf_energy, mp2_vector
@@ -302,7 +302,7 @@ def test_criterion_11_freezing_consistency():
     rng = np.random.default_rng(15)
     h_one, h_two = random_integrals(3, rng)
     m = MolecularIntegrals(3, 4, 0.37, h_one, h_two)
-    frozen = freeze_orbitals(m, ActiveSpace((1, 2), (0,), 2))
+    frozen = freeze_orbitals(m, (1, 2), (0,))
     e_frozen = ground_state(jordan_wigner(build_hamiltonian(frozen)), 2,
                             frozen.e_core).ground_energy
     full = fermion_matrix(build_hamiltonian(m), 6).real

@@ -71,6 +71,7 @@ def test_pickled_circuit_rebuilds_its_caches_read_only():
     psi = run_statevector(c, theta).amplitudes   # compiles c's program
     copy = pickle.loads(pickle.dumps(c))
     assert copy == c and c.programs and not copy.programs
+    assert c.gathers and not copy.gathers
     np.testing.assert_array_equal(run_statevector(copy, theta).amplitudes, psi)
     prog = _program(copy)
     assert prog is not _program(c) and list(copy.programs) == [None]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqesim.fermion import (ActiveSpace, FermionOperator, IntegralError,
+from vqesim.fermion import (FermionOperator, IntegralError,
                             MolecularIntegrals, apply_sidecar,
                             build_hamiltonian, freeze_orbitals,
                             jordan_wigner, load_sidecar, parse_fcidump,
@@ -41,6 +41,15 @@ def test_parse_orbital_energy_records():
             " -0.578 1 0 0 0\n 0.670 2 0 0 0\n")
     m = parse_fcidump(text)
     np.testing.assert_allclose(m.orbital_energies, [-0.578, 0.670])
+
+
+@pytest.mark.parametrize("given", [(1,), (2,), (1, 3)])
+def test_parse_rejects_partial_orbital_energies(given):
+    # a missing orbital energy would read 0.0
+    records = "".join(f" -0.5{i} {i} 0 0 0\n" for i in given)
+    text = " &FCI NORB=3,NELEC=2,MS2=0,\n &END\n" + records
+    with pytest.raises(IntegralError, match=f"given for {len(given)} of 3 "):
+        parse_fcidump(text)
 
 
 def test_parse_applies_eightfold_symmetry():
@@ -152,19 +161,19 @@ def test_validate_rejects_asymmetric_h_one():
 def test_select_all_orbitals_active():
     m = make_integrals(3, 4, seed=1)
     m.noons = np.array([1.8, 1.4, 0.8])
-    a = select_active_space(m, eps1=0.01, eps2=0.01)
-    assert a.active == (0, 1, 2)
-    assert a.occupied_frozen == ()
-    assert a.n_active_electrons == 4
+    active, frozen = select_active_space(m, eps1=0.01, eps2=0.01)
+    assert active == (0, 1, 2)
+    assert frozen == ()
+    assert freeze_orbitals(m, active, frozen).n_electrons == 4
 
 
 def test_select_freezes_deep_doubly_occupied():
     m = make_integrals(5, 6, seed=2)
     m.noons = np.array([2.0, 2.0, 1.0, 1.0, 0.0])
-    a = select_active_space(m, eps1=0.01, eps2=0.01)
-    assert a.occupied_frozen == (0,)
-    assert a.active == (1, 2, 3)   # orbital 4 discarded as virtual
-    assert a.n_active_electrons == 4
+    active, frozen = select_active_space(m, eps1=0.01, eps2=0.01)
+    assert frozen == (0,)
+    assert active == (1, 2, 3)   # orbital 4 discarded as virtual
+    assert freeze_orbitals(m, active, frozen).n_electrons == 4
 
 
 def test_select_high_threshold_keeps_occupied_tail():
@@ -172,10 +181,10 @@ def test_select_high_threshold_keeps_occupied_tail():
     # occupied orbitals at or above the Fermi level stay active
     m = make_integrals(4, 6, seed=3)
     m.noons = np.array([1.999, 1.998, 1.995, 0.008])
-    a = select_active_space(m, eps1=0.01, eps2=0.05)
-    assert a.occupied_frozen == (0,)
-    assert a.active == (1, 2)
-    assert a.n_active_electrons == 4
+    active, frozen = select_active_space(m, eps1=0.01, eps2=0.05)
+    assert frozen == (0,)
+    assert active == (1, 2)
+    assert freeze_orbitals(m, active, frozen).n_electrons == 4
 
 
 def test_select_partition_is_exact():
@@ -190,11 +199,11 @@ def test_select_partition_is_exact():
         m = make_integrals(n, ne, seed=int(rng.integers(1 << 30)))
         m.noons = noons
         try:
-            a = select_active_space(m, 0.02, 0.02)
+            active, frozen = select_active_space(m, 0.02, 0.02)
         except IntegralError:
             continue
-        assert not set(a.active) & set(a.occupied_frozen)
-        assert len(set(a.active) | set(a.occupied_frozen)) <= n
+        assert not set(active) & set(frozen)
+        assert len(set(active) | set(frozen)) <= n
 
 
 @pytest.mark.parametrize("active, frozen", [([1, 1], [0]), ([1, 2], [0, 0])])
@@ -219,7 +228,8 @@ def test_prepare_problem_rejects_ignored_arguments(toy4_path,
 
 def test_prepare_problem_accepts_empty_frozen_without_active(toy4_path):
     problem = prepare_problem(toy4_path, active=None, frozen=())
-    assert problem.active_space.active == (0, 1, 2, 3)
+    assert problem.integrals.n_orbitals == 4
+    assert problem.n_electrons == 4
 
 
 def test_select_requires_noons():
@@ -240,8 +250,7 @@ def test_select_rejects_bad_thresholds():
 
 def test_freeze_empty_set_is_identity():
     m = make_integrals(3, 4, seed=6)
-    a = ActiveSpace((0, 1, 2), (), 4)
-    f = freeze_orbitals(m, a)
+    f = freeze_orbitals(m, (0, 1, 2))
     assert f.e_core == m.e_core
     np.testing.assert_array_equal(f.h_one, m.h_one)
     np.testing.assert_array_equal(f.h_two, m.h_two)
@@ -249,8 +258,7 @@ def test_freeze_empty_set_is_identity():
 
 def test_freeze_restricts_to_active_subblock():
     m = make_integrals(4, 4, seed=7)
-    a = ActiveSpace((1, 3), (0,), 2)
-    f = freeze_orbitals(m, a)
+    f = freeze_orbitals(m, (1, 3), (0,))
     assert f.n_orbitals == 2 and f.n_electrons == 2
     np.testing.assert_array_equal(f.h_two,
                                   m.h_two[np.ix_([1, 3], [1, 3], [1, 3], [1, 3])])
@@ -261,8 +269,7 @@ def test_freeze_zero_two_body_core_shift():
     # one-body energy once per spin
     m = make_integrals(3, 4, seed=8)
     m.h_two = np.zeros((3, 3, 3, 3))
-    a = ActiveSpace((1, 2), (0,), 2)
-    f = freeze_orbitals(m, a)
+    f = freeze_orbitals(m, (1, 2), (0,))
     assert abs(f.e_core - (m.e_core + 2.0 * m.h_one[0, 0])) < 1e-12
     # cross-check against the determinant oracle: the frozen problem must
     # reproduce the restricted ground energy exactly
@@ -275,8 +282,7 @@ def test_freeze_zero_two_body_core_shift():
 
 def test_freeze_matches_restricted_diagonalization():
     m = make_integrals(3, 4, seed=9, e_core=0.3)
-    a = ActiveSpace((1, 2), (0,), 2)
-    f = freeze_orbitals(m, a)
+    f = freeze_orbitals(m, (1, 2), (0,))
     full = fermion_matrix(build_hamiltonian(m)).real
     restricted = sector_ground_energy(full, 6, 4, mask_fixed=0b11) + m.e_core
     frozen = fermion_matrix(build_hamiltonian(f)).real
@@ -287,8 +293,7 @@ def test_freeze_matches_restricted_diagonalization():
 def test_freeze_four_orbital_property():
     for seed in (10, 11, 12):
         m = make_integrals(4, 4, seed=seed, two_scale=0.15)
-        a = ActiveSpace((1, 2, 3), (0,), 2)
-        f = freeze_orbitals(m, a)
+        f = freeze_orbitals(m, (1, 2, 3), (0,))
         full = fermion_matrix(build_hamiltonian(m)).real
         restricted = sector_ground_energy(full, 8, 4, mask_fixed=0b11) + m.e_core
         frozen = fermion_matrix(build_hamiltonian(f)).real
@@ -299,7 +304,22 @@ def test_freeze_four_orbital_property():
 def test_freeze_index_out_of_range():
     m = make_integrals(2, 2, seed=13)
     with pytest.raises(IntegralError):
-        freeze_orbitals(m, ActiveSpace((0, 5), (), 2))
+        freeze_orbitals(m, (0, 5))
+
+
+@pytest.mark.parametrize("active, frozen", [((1, 1), (0,)), ((1, 2), (0, 0)),
+                                            ((0, 1), (0,))])
+def test_freeze_rejects_repeated_orbital(active, frozen):
+    m = make_integrals(3, 4, seed=13)
+    with pytest.raises(IntegralError, match="repeats"):
+        freeze_orbitals(m, active, frozen)
+
+
+def test_freeze_rejects_more_frozen_electrons_than_m_holds():
+    m = make_integrals(4, 2, seed=13)
+    assert freeze_orbitals(m, (2, 3), (0,)).n_electrons == 0
+    with pytest.raises(IntegralError, match="more than the 2 electrons"):
+        freeze_orbitals(m, (3,), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -37,5 +37,7 @@ def test_mp2_vector_without_orbital_energies_warns_and_starts_at_hf(
 def test_frozen_integrals_carry_no_noons(toy4_path, toy4_sidecar_path):
     problem = prepare_problem(toy4_path, sidecar_path=toy4_sidecar_path,
                               eps1=0.02, eps2=0.001)
-    assert problem.active_space.active == (0, 1, 2)
+    chosen = prepare_problem(toy4_path, active=(0, 1, 2)).integrals
+    np.testing.assert_array_equal(problem.integrals.h_one, chosen.h_one)
+    assert problem.integrals.e_core == chosen.e_core
     assert problem.integrals.noons is None

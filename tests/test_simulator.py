@@ -900,17 +900,23 @@ def test_program_waits_are_the_schedules_idle_intervals(n):
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["psi", "rho"])
 def test_each_cnot_pair_has_one_gather_per_program(noisy, toy4_problem):
+    # psi and rho programs of one circuit share its memo of gathers, and
+    # every rho program, one per noise model, holds the same arrays
     c, _ = build_ansatz("qucc", toy4_problem)
-    nm = NoiseModel() if noisy else None
+    models = ([NoiseModel(), NoiseModel(t1_us=20.0, t2_us=20.0)] if noisy
+              else [None])
+    simulator._program(c, None if noisy else NoiseModel())
     n = c.n_qubits
-    ops = simulator._program(c, nm).ops
-    gathers = [op for bits, op in ops if bits is None]
     pairs = [g.qubits for g in c.gates if g.kind == "CNOT"]
-    assert len(gathers) == len(pairs)
     by_pair = {}
-    for pair, gather in zip(pairs, gathers):
-        assert by_pair.setdefault(pair, gather) is gather
-    assert len({id(g) for g in gathers}) == len(by_pair) > 1
+    for nm in models:
+        gathers = [op for bits, op in simulator._program(c, nm).ops
+                   if bits is None]
+        assert len(gathers) == len(pairs)
+        for pair, gather in zip(pairs, gathers):
+            assert by_pair.setdefault(pair, gather) is gather
+        assert len({id(g) for g in gathers}) == len(by_pair) > 1
+    assert len(c.gathers) == 2 * len(by_pair)
     for (ctl, tgt), gather in by_pair.items():
         expected = (_cnot_index(n, ((ctl, tgt),)) if not noisy else
                     _cnot_index(2 * n, ((ctl + n, tgt + n), (ctl, tgt))))
